@@ -13,23 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quartic
 from .distortion import (
     DistortionOperands,
     distortion_of_w,
     distortion_of_y,
     distortion_of_y_many,
-    is_admissible,
     moment_matrices,
     operand_matrices,
-    w_from_y_raw,
 )
 from .errors import DegenerateOrientation, EmptyDomain, MinrectError
-from .geometry import Camera, StereoRig, fundamental_matrix, epipoles
+from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rot_x
 from .rectify import CommonOrientation, RectifiedPair, assemble, complete_homographies
 
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_SIZE = (640, 480)
+STRESS_SCAN_SAMPLES = 20_001  # scan oracle density per stress trial
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,11 +43,10 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     y_hat = y_dir / ny
     z_hat = np.cross(x_hat, y_hat)
     Rnew = np.vstack([x_hat, y_hat, z_hat])
-    Rnew.setflags(write=False)
-    ops = operand_matrices(rig)
-    w1 = Rnew[2, :] @ np.linalg.inv(rig.cam1.projection)
-    w2 = Rnew[2, :] @ np.linalg.inv(rig.cam2.projection)
-    dist = distortion_of_w(w1, w2, ops.moments1, ops.moments2)
+    w1 = Rnew[2, :] @ rig.cam1.projection_inv
+    w2 = Rnew[2, :] @ rig.cam2.projection_inv
+    dist = distortion_of_w(w1, w2, moment_matrices(rig.cam1.width, rig.cam1.height),
+                           moment_matrices(rig.cam2.width, rig.cam2.height))
     return complete_homographies(rig, CommonOrientation(Rnew=Rnew), float("nan"), dist)
 
 
@@ -92,11 +89,6 @@ def _golden_section(ops: DistortionOperands, lo: float, hi: float,
     return best[1], best[0]
 
 
-def _rot_x(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def degenerate_rig(a: float, theta_x: float, intrinsics=None,
                    size=DEFAULT_SIZE) -> StereoRig:
     """Second camera at (1, a, a*tan(theta_x)), body-rotated about x.
@@ -110,13 +102,9 @@ def degenerate_rig(a: float, theta_x: float, intrinsics=None,
     w, h = size
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=w, height=h)
     o2 = np.array([1.0, a, a * math.tan(theta_x)])
-    R2 = _rot_x(theta_x).T  # world->camera map of a body rotated by theta_x
+    R2 = rot_x(theta_x).T  # world->camera map of a body rotated by theta_x
     cam2 = Camera(A=A, R=R2, t=-R2 @ o2, width=w, height=h)
     return StereoRig(cam1, cam2)
-
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def default_pd_builder(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +119,7 @@ def default_pd_builder(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
     e1, _ = epipoles(rig)
     mom1 = moment_matrices(rig.cam1.width, rig.cam1.height)
     mom2 = moment_matrices(rig.cam2.width, rig.cam2.height)
-    E1 = _cross_matrix(e1)
+    E1 = cross_matrix(e1)
     A = (E1.T @ mom1.ppt @ E1)[:2, :2]
     Ap = (F.T @ mom2.ppt @ F)[:2, :2]
     return A, Ap
@@ -148,10 +136,10 @@ def _cholesky_ok(M: np.ndarray) -> bool:
     return M[1, 1] - l21 * M[1, 0] > rel
 
 
-def pd_probe(rig: StereoRig, builder=default_pd_builder) -> bool:
+def pd_probe(rig: StereoRig) -> bool:
     """Whether both quadratic forms admit a Cholesky-style factorization."""
-    A, Ap = builder(rig)
-    return _cholesky_ok(np.asarray(A, dtype=float)) and _cholesky_ok(np.asarray(Ap, dtype=float))
+    A, Ap = default_pd_builder(rig)
+    return _cholesky_ok(A) and _cholesky_ok(Ap)
 
 
 def random_rig(rng: np.random.Generator, intrinsics=None, size=DEFAULT_SIZE,
@@ -163,7 +151,7 @@ def random_rig(rng: np.random.Generator, intrinsics=None, size=DEFAULT_SIZE,
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    K = _cross_matrix(axis)
+    K = cross_matrix(axis)
     R2 = np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
     o2 = rng.normal(size=3)
     o2 /= np.linalg.norm(o2)
@@ -201,7 +189,7 @@ class StressReport:
         }
 
 
-def stress(trials: int, seed: int, scan_samples: int = 20_001) -> StressReport:
+def stress(trials: int, seed: int) -> StressReport:
     """Run direct, baseline, scan oracle and PD probe on random rigs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -234,7 +222,7 @@ def stress(trials: int, seed: int, scan_samples: int = 20_001) -> StressReport:
         h = rig.cam1.height
         t0 = time.perf_counter()
         try:
-            scan_minimize(ops, -10.0 * h, 10.0 * h, scan_samples)
+            scan_minimize(ops, -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
         except MinrectError as exc:
             report.failures.append((trial, "scan", str(exc)))
         t_scan.append(time.perf_counter() - t0)

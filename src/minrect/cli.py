@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import os
 import sys
 
 import numpy as np
@@ -21,13 +21,13 @@ from .errors import (
     MinrectError,
     UnsupportedMaxval,
 )
-from .geometry import load_calibration, rig_to_dict
+from .geometry import load_calibration, load_json, rig_to_dict
 from .quartic import quartic_coefficients, solve_quartic
 from .rectify import assemble
 from .warp import read_pnm, warp_image, write_pnm
 
 _PARSE_ERRORS = (InvalidCalibration, InvalidCamera, InvalidRig, MalformedHeader,
-                 UnsupportedMaxval, json.JSONDecodeError)
+                 UnsupportedMaxval)
 
 
 def _format_distortion(value: float) -> str:
@@ -53,10 +53,27 @@ def _cmd_rectify(args) -> int:
     return 0
 
 
-def _extract_w(H) -> np.ndarray:
-    H = np.asarray(H, dtype=float)
-    if H.shape != (3, 3):
-        raise InvalidCalibration("homography must be 3x3")
+def _homography(data: dict, key: str) -> np.ndarray:
+    """The finite 3x3 matrix stored under ``key`` of a homography file."""
+    try:
+        H = np.array(data[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidCalibration(f"homography {key} is missing or not numeric: {exc!r}") from exc
+    if H.shape != (3, 3) or not np.isfinite(H).all():
+        raise InvalidCalibration(f"{key} must be a finite 3x3 matrix")
+    return H
+
+
+def _canvas_size(size) -> tuple[int, int]:
+    """(width, height) of a warp output; both must be positive integers."""
+    if (not isinstance(size, (list, tuple)) or len(size) != 2
+            or not all(type(v) is int and v > 0 for v in size)):
+        raise InvalidCalibration(f"output size {size!r} is not two positive integers "
+                                 "(--width and --height go together)")
+    return size[0], size[1]
+
+
+def _extract_w(H: np.ndarray) -> np.ndarray:
     if abs(H[2, 2]) <= 1e-15 * np.abs(H).max():
         raise MinrectError("homography cannot be normalised: last element is zero")
     return H[2, :] / H[2, 2]
@@ -68,36 +85,21 @@ def _cmd_evaluate(args) -> int:
     if args.y1 is not None:
         value = distortion_of_y(ops, args.y1)
     else:
-        with open(args.homographies, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            h1, h2 = data["H1"], data["H2"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidCalibration("homography file needs 'H1' and 'H2'") from exc
-        value = distortion_of_w(_extract_w(h1), _extract_w(h2), ops.moments1, ops.moments2)
+        data = load_json(args.homographies)
+        w1, w2 = (_extract_w(_homography(data, key)) for key in ("H1", "H2"))
+        value = distortion_of_w(w1, w2, ops.moments1, ops.moments2)
     print(_format_distortion(value))
     return 0
 
 
 def _cmd_warp(args) -> int:
     img = read_pnm(args.image)
-    with open(args.homography, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "H" in data:
-        H = np.asarray(data["H"], dtype=float)
-    else:
-        key = "H2" if args.use == 2 else "H1"
-        try:
-            H = np.asarray(data[key], dtype=float)
-        except KeyError as exc:
-            raise InvalidCalibration(f"homography file lacks {key!r}") from exc
-    if args.width and args.height:
-        out_w, out_h = args.width, args.height
-    elif "output_size" in data:
-        out_w, out_h = (int(v) for v in data["output_size"])
-    else:
-        out_w, out_h = img.width, img.height
-    write_pnm(warp_image(img, H, out_w, out_h), args.output)
+    data = load_json(args.homography)
+    H = _homography(data, "H" if "H" in data else f"H{args.use}")
+    size = (args.width, args.height)
+    if size == (None, None):
+        size = data.get("output_size", (img.width, img.height))
+    write_pnm(warp_image(img, H, *_canvas_size(size)), args.output)
     return 0
 
 
@@ -109,8 +111,6 @@ def _cmd_stress(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    import os
-
     os.makedirs(args.output, exist_ok=True)
     rig = synth.synth_rig(args.seed)
     serialize.write_json(os.path.join(args.output, "calib.json"), rig_to_dict(rig))
@@ -128,8 +128,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
-    import os
-
     rig = baselines.degenerate_rig(args.a, args.theta)
     os.makedirs(args.output, exist_ok=True)
     serialize.write_json(os.path.join(args.output, "calib.json"), rig_to_dict(rig))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, DegenerateCenter, PoleAtY, SingularProjection
-from .geometry import COND_LIMIT, StereoRig
+from .errors import BadDimensions, DegenerateCenter, PoleAtY
+from .geometry import StereoRig, read_only
 
 POLE_HALF_WIDTH = 1e-9  # relative half-width of the exclusion zone around poles
 
@@ -35,10 +35,8 @@ def moment_matrices(width: int, height: int) -> MomentMatrices:
     w, h = float(width), float(height)
     ppt = (w * h / 12.0) * np.diag([w * w - 1.0, h * h - 1.0, 0.0])
     v = np.array([(w - 1.0) / 2.0, (h - 1.0) / 2.0, 1.0])
-    pcpct = np.outer(v, v)
-    ppt.setflags(write=False)
-    pcpct.setflags(write=False)
-    return MomentMatrices(ppt=ppt, pcpct=pcpct, width=int(width), height=int(height))
+    return MomentMatrices(ppt=read_only(ppt), pcpct=read_only(np.outer(v, v)),
+                          width=int(width), height=int(height))
 
 
 @dataclass(frozen=True)
@@ -56,19 +54,13 @@ class DistortionOperands:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    M = (M + M.T) / 2.0
-    M.setflags(write=False)
-    return M
+    return read_only((M + M.T) / 2.0)
 
 
 def operand_matrices(rig: StereoRig) -> DistortionOperands:
     """Build L, M and C matrices for a rig."""
-    P1 = rig.cam1.projection
-    P2 = rig.cam2.projection
-    if np.linalg.cond(P1) > COND_LIMIT or np.linalg.cond(P2) > COND_LIMIT:
-        raise SingularProjection("camera projection is singular within conditioning bound")
-    P1inv = np.linalg.inv(P1)
-    P2inv = np.linalg.inv(P2)
+    P1inv = rig.cam1.projection_inv
+    P2inv = rig.cam2.projection_inv
     x_hat = rig.x_hat
     ortho = np.eye(3) - np.outer(x_hat, x_hat)
     L1 = P1inv.T @ ortho @ P1inv
@@ -79,11 +71,7 @@ def operand_matrices(rig: StereoRig) -> DistortionOperands:
     M2 = _sym(L2.T @ mom2.ppt @ L2)
     C1 = _sym(L1.T @ mom1.pcpct @ L1)
     C2 = _sym(L2.T @ mom2.pcpct @ L2)
-    L1 = L1.copy()
-    L2 = L2.copy()
-    L1.setflags(write=False)
-    L2.setflags(write=False)
-    return DistortionOperands(L1=L1, L2=L2, M1=M1, M2=M2, C1=C1, C2=C2,
+    return DistortionOperands(L1=read_only(L1), L2=read_only(L2), M1=M1, M2=M2, C1=C1, C2=C2,
                               moments1=mom1, moments2=mom2)
 
 

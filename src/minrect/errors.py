@@ -66,7 +66,7 @@ class MalformedHeader(MinrectError):
 
 
 class InvalidCalibration(MinrectError):
-    """Calibration file does not parse or fails validation."""
+    """An input file (calibration, homographies) or output size fails validation."""
 
 
 class UnsupportedMaxval(MinrectError):

@@ -8,7 +8,9 @@ center of the top-left pixel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +20,14 @@ COND_LIMIT = 1e12
 _ORTHO_TOL = 1e-9
 
 
-def _freeze(obj, name, value):
-    arr = np.array(value, dtype=float)
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` immutable and return it."""
     arr.setflags(write=False)
+    return arr
+
+
+def _freeze(obj, name, value):
+    arr = read_only(np.array(value, dtype=float))
     object.__setattr__(obj, name, arr)
     return arr
 
@@ -61,6 +68,14 @@ class Camera:
         """The 3x3 product A*R."""
         return self.A @ self.R
 
+    @cached_property
+    def projection_inv(self) -> np.ndarray:
+        """(A*R)^-1, computed on first use; SingularProjection if ill-conditioned."""
+        P = self.projection
+        if np.linalg.cond(P) > COND_LIMIT:
+            raise SingularProjection("A*R is singular within conditioning bound")
+        return read_only(np.linalg.inv(P))
+
     @property
     def axis(self) -> np.ndarray:
         """Optical axis direction in world coordinates."""
@@ -83,20 +98,31 @@ class StereoRig:
         if np.linalg.norm(self.baseline) <= 1e-12:
             raise InvalidRig("optical centers coincide")
 
-    @property
+    @cached_property
     def baseline(self) -> np.ndarray:
-        return optical_center(self.cam2) - optical_center(self.cam1)
+        return read_only(optical_center(self.cam2) - optical_center(self.cam1))
 
-    @property
+    @cached_property
     def x_hat(self) -> np.ndarray:
         b = self.baseline
-        return b / np.linalg.norm(b)
+        return read_only(b / np.linalg.norm(b))
 
 
-def _checked_inverse(P: np.ndarray, what: str) -> np.ndarray:
-    if np.linalg.cond(P) > COND_LIMIT:
-        raise SingularProjection(f"{what} is singular within conditioning bound")
-    return np.linalg.inv(P)
+def cross_matrix(v) -> np.ndarray:
+    """Skew-symmetric matrix [v]x with [v]x u = v x u."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def rot_x(theta: float) -> np.ndarray:
+    """Rotation by ``theta`` about the x axis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(theta: float) -> np.ndarray:
+    """Rotation by ``theta`` about the y axis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def normalize_matrix(F: np.ndarray) -> np.ndarray:
@@ -113,19 +139,11 @@ def normalize_matrix(F: np.ndarray) -> np.ndarray:
 
 def fundamental_matrix(rig: StereoRig) -> np.ndarray:
     """Fundamental matrix of the rig (p2^T F p1 = 0), normalised."""
-    P1 = rig.cam1.projection
+    rig.cam2.projection_inv  # raises SingularProjection if A2*R2 is ill-conditioned
     P2 = rig.cam2.projection
-    _checked_inverse(P2, "A2*R2")
-    G = P2 @ rig.baseline
-    Hm = P2 @ _checked_inverse(P1, "A1*R1")
-    F = np.array(
-        [
-            G[1] * Hm[2, :] - G[2] * Hm[1, :],
-            G[2] * Hm[0, :] - G[0] * Hm[2, :],
-            G[0] * Hm[1, :] - G[1] * Hm[0, :],
-        ]
-    )
-    return normalize_matrix(F)
+    # [P2 b]x (P2 P1^-1) by columns; a product with cross_matrix rounds differently
+    return normalize_matrix(np.cross(P2 @ rig.baseline, P2 @ rig.cam1.projection_inv,
+                                     axisb=0, axisc=0))
 
 
 def epipoles(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
@@ -185,20 +203,25 @@ def rig_to_dict(rig: StereoRig) -> dict:
     return {"cam1": camera_to_dict(rig.cam1), "cam2": camera_to_dict(rig.cam2)}
 
 
-def load_calibration(path) -> StereoRig:
-    """Read a two-camera calibration JSON file.
-
-    Rejects non-finite numbers; matrices are row-major lists of rows.
-    """
+def load_json(path) -> dict:
+    """Read a JSON file whose root is an object; NaN and Infinity are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise InvalidCalibration(f"calibration is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "cam1" not in data or "cam2" not in data:
-        raise InvalidCalibration("calibration must contain 'cam1' and 'cam2'")
-    return StereoRig(camera_from_dict(data["cam1"]), camera_from_dict(data["cam2"]))
+        except ValueError as exc:  # JSON syntax or text encoding
+            raise InvalidCalibration(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidCalibration(f"{path} must hold a JSON object")
+    return data
 
 
 def _reject_constant(name):
-    raise InvalidCalibration(f"non-finite number {name!r} in calibration")
+    raise InvalidCalibration(f"non-finite number {name!r}")
+
+
+def load_calibration(path) -> StereoRig:
+    """Read a two-camera calibration JSON file; matrices are row-major lists of rows."""
+    data = load_json(path)
+    if "cam1" not in data or "cam2" not in data:
+        raise InvalidCalibration("calibration must contain 'cam1' and 'cam2'")
+    return StereoRig(camera_from_dict(data["cam1"]), camera_from_dict(data["cam2"]))

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quartic
-from .distortion import DistortionOperands, operand_matrices
+from .distortion import operand_matrices
 from .errors import (
     CollapsedMidlines,
     DegenerateZ,
     MinrectError,
     PipelineError,
 )
-from .geometry import StereoRig, optical_center
+from .geometry import StereoRig, read_only
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,7 @@ def new_orientation(rig: StereoRig, y1: float) -> CommonOrientation:
     if float(z_hat @ rig.cam1.axis) < 0.0:
         z_hat = -z_hat
     y_hat = np.cross(z_hat, x_hat)
-    Rnew = np.vstack([x_hat, y_hat, z_hat])
-    Rnew.setflags(write=False)
-    return CommonOrientation(Rnew=Rnew)
+    return CommonOrientation(Rnew=read_only(np.vstack([x_hat, y_hat, z_hat])))
 
 
 def _map_point(H: np.ndarray, x: float, y: float) -> np.ndarray:
@@ -148,11 +146,10 @@ def complete_homographies(rig: StereoRig, orientation: CommonOrientation,
                           y1_star: float, dist: float) -> RectifiedPair:
     """Shear, fit and normalise the base homographies for an orientation."""
     Rnew = orientation.Rnew
-    bases, shears, pres = [], [], []
+    shears, pres = [], []
     for cam in (rig.cam1, rig.cam2):
-        base = Rnew @ np.linalg.inv(cam.projection)
+        base = Rnew @ cam.projection_inv
         S = _stage("shear", shear_similarity, base, cam.width, cam.height)
-        bases.append(base)
         shears.append((S[0, 0], S[0, 1]))
         pres.append(S @ base)
     fit1, fit2, out_size = _stage(
@@ -162,8 +159,7 @@ def complete_homographies(rig: StereoRig, orientation: CommonOrientation,
     ws = []
     for fit, pre in ((fit1, pres[0]), (fit2, pres[1])):
         H = fit @ pre
-        H = H / H[2, 2]
-        H.setflags(write=False)
+        H = read_only(H / H[2, 2])
         Hs.append(H)
         ws.append((H[2, 0], H[2, 1]))
     return RectifiedPair(

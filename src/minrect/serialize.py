@@ -17,7 +17,7 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """Serialise dicts/lists/scalars with reproducible float formatting."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())

@@ -7,27 +7,15 @@ as trackable features after warping.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import Camera, StereoRig, project, is_in_front
-from .warp import ImageBuffer, from_array
+from .geometry import Camera, StereoRig, is_in_front, project, rot_x, rot_y
+from .warp import ImageBuffer, from_array, source_coords
 
 PLANE_Z = 5.0
 MARKER_RADIUS = 0.09
 MARKER_STEP = 0.8
 CHECKER_SIZE = 0.5
-
-
-def _rot_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_x(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def synth_rig(seed: int) -> StereoRig:
@@ -37,7 +25,7 @@ def synth_rig(seed: int) -> StereoRig:
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=640, height=480)
     yaw = -0.14 + rng.uniform(-0.02, 0.02)
     pitch = 0.05 + rng.uniform(-0.01, 0.01)
-    R2 = (_rot_y(yaw) @ _rot_x(pitch)).T
+    R2 = (rot_y(yaw) @ rot_x(pitch)).T
     o2 = np.array([1.0, 0.08, 0.04]) + rng.uniform(-0.02, 0.02, size=3)
     cam2 = Camera(A=A, R=R2, t=-R2 @ o2, width=640, height=480)
     return StereoRig(cam1, cam2)
@@ -68,12 +56,7 @@ def _plane_homography(cam: Camera) -> np.ndarray:
 
 def render_view(cam: Camera) -> ImageBuffer:
     """Render the textured plane into the camera; gray background outside."""
-    Hinv = np.linalg.inv(_plane_homography(cam))
-    xs, ys = np.meshgrid(np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float))
-    src = np.tensordot(Hinv, np.stack([xs, ys, np.ones_like(xs)]), axes=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = src[0] / src[2]
-        py = src[1] / src[2]
+    px, py, _ = source_coords(np.linalg.inv(_plane_homography(cam)), cam.width, cam.height)
     tex = _texture(px, py)
     on_plane = (px >= -2.0) & (px <= 3.0) & (py >= -2.0) & (py <= 2.0) & np.isfinite(px)
     gray = np.where(on_plane, tex, 20.0).astype(np.uint8)

@@ -36,6 +36,15 @@ def from_array(arr: np.ndarray) -> ImageBuffer:
     return ImageBuffer(width=w, height=h, channels=c, data=arr.astype(np.uint8))
 
 
+def source_coords(Hinv: np.ndarray, width: int, height: int):
+    """Source (x, y, w) of every pixel of a width x height output under ``Hinv``:
+    x and y dehomogenised (non-finite where w is zero), w the homogeneous scale."""
+    xs, ys = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    src = np.tensordot(Hinv, np.stack([xs, ys, np.ones_like(xs)]), axes=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return src[0] / src[2], src[1] / src[2], src[2]
+
+
 def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> ImageBuffer:
     """Inverse-map every output pixel through H^-1 with bilinear sampling.
 
@@ -49,13 +58,8 @@ def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> Image
     except np.linalg.LinAlgError as exc:
         raise SingularHomography(str(exc)) from exc
 
-    xs, ys = np.meshgrid(np.arange(out_w, dtype=float), np.arange(out_h, dtype=float))
-    ones = np.ones_like(xs)
-    src = np.tensordot(Hinv, np.stack([xs, ys, ones]), axes=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sx = src[0] / src[2]
-        sy = src[1] / src[2]
-    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(src[2]) > 1e-12)
+    sx, sy, sw = source_coords(Hinv, out_w, out_h)
+    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
     valid &= (sx >= 0) & (sx <= img.width - 1) & (sy >= 0) & (sy <= img.height - 1)
     sx = np.where(valid, sx, 0.0)
     sy = np.where(valid, sy, 0.0)
@@ -104,7 +108,7 @@ def _read_tokens(raw: bytes, count: int):
 
 
 def read_pnm(path) -> ImageBuffer:
-    """Read a binary PGM (P5) or PPM (P6) file with maxval <= 255."""
+    """Read a binary PGM (P5) or PPM (P6) file; maxval < 255 is rescaled to 0..255."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 2:
@@ -130,6 +134,11 @@ def read_pnm(path) -> ImageBuffer:
     if len(body) < expected:
         raise MalformedHeader("pixel data shorter than header promises")
     data = np.frombuffer(body[:expected], dtype=np.uint8).reshape(height, width, channels)
+    if maxval < 255:
+        if data.max() > maxval:
+            raise MalformedHeader(f"sample above maxval {maxval}")
+        # round(v * 255 / maxval), halves rounded up
+        data = ((data.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     return ImageBuffer(width=width, height=height, channels=channels, data=data.copy())
 
 

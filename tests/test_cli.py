@@ -154,3 +154,64 @@ def test_degenerate_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "pd_probe False" in printed
     assert os.path.exists(os.path.join(d, "rectify.json"))
+
+
+# --- strict homography files and warp size flags ---------------------------------
+
+@pytest.fixture
+def warp_inputs(tmp_path):
+    from minrect.warp import from_array, write_pnm
+
+    src = str(tmp_path / "in.pgm")
+    write_pnm(from_array(np.zeros((4, 5), dtype=np.uint8)), src)
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({"H1": np.eye(3).tolist(), "H2": np.eye(3).tolist()}))
+    return src, str(hpath), str(tmp_path / "out.pgm")
+
+
+@pytest.mark.parametrize("flags", [["--width", "3"], ["--height", "3"],
+                                   ["--width", "-5", "--height", "10"],
+                                   ["--width", "0", "--height", "10"]])
+def test_warp_size_flags_rejected(warp_inputs, flags):
+    src, hpath, out = warp_inputs
+    assert main(["warp", src, hpath, "-o", out] + flags) == 2
+    assert not os.path.exists(out)
+
+
+def test_warp_size_flags_applied(warp_inputs):
+    from minrect.warp import read_pnm
+
+    src, hpath, out = warp_inputs
+    assert main(["warp", src, hpath, "-o", out, "--width", "3", "--height", "2"]) == 0
+    assert (read_pnm(out).width, read_pnm(out).height) == (3, 2)
+
+
+def test_warp_rejects_list_root(warp_inputs, tmp_path):
+    src, _, out = warp_inputs
+    hpath = tmp_path / "list.json"
+    hpath.write_text(json.dumps([np.eye(3).tolist()]))
+    assert main(["warp", src, str(hpath), "-o", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("h1", ["nan", "ragged", "missing"])
+def test_evaluate_rejects_bad_homography(tmp_path, rig_d_path, h1):
+    data = {"H1": np.eye(3).tolist(), "H2": np.eye(3).tolist()}
+    if h1 == "nan":
+        data["H1"][2][0] = float("nan")  # json.dumps writes the bare NaN token
+    elif h1 == "ragged":
+        data["H1"] = [[1, 2], [3]]
+    else:
+        del data["H1"]
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps(data))
+    assert main(["evaluate", rig_d_path, "--homographies", str(hpath)]) == 2
+
+
+def test_rectify_ill_conditioned_camera_exits_3(tmp_path):
+    from test_rectify import singular_rig
+
+    calib = write_rig(tmp_path, singular_rig(1))
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", calib, "-o", out]) == 3
+    assert not os.path.exists(out)

@@ -227,3 +227,32 @@ def test_assemble_random_rigs_form_and_alignment():
             q1 = pair.H1 @ (p1 / p1[2])
             q2 = pair.H2 @ (p2 / p2[2])
             assert abs(q1[1] / q1[2] - q2[1] / q2[2]) <= 1e-6
+
+
+# --- conditioning of A*R --------------------------------------------------------
+
+def singular_rig(which: int):
+    """Rig whose camera ``which`` (1 or 2) has cond(A*R) = 1e13, above COND_LIMIT."""
+    from conftest import A_LEFT, make_camera
+    from minrect.geometry import StereoRig
+
+    A = [A_LEFT, A_LEFT]
+    A[which - 1] = np.diag([1e13, 1.0, 1.0])
+    return StereoRig(make_camera(A[0], np.eye(3), (0.0, 0.0, 0.0)),
+                     make_camera(A[1], np.eye(3), (1.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_ill_conditioned_projection_is_rejected(which):
+    from minrect.baselines import fusiello_rectify
+    from minrect.errors import PipelineError, SingularProjection
+
+    rig = singular_rig(which)
+    with pytest.raises(PipelineError) as info:
+        assemble(rig)
+    assert info.value.stage == "operands"
+    assert isinstance(info.value.cause, SingularProjection)
+    with pytest.raises(SingularProjection):
+        fusiello_rectify(rig)
+    with pytest.raises(SingularProjection):
+        fundamental_matrix(rig)

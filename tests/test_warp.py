@@ -99,3 +99,18 @@ def test_image_buffer_validates_shape():
     with pytest.raises(Exception):
         ImageBuffer(width=2, height=2, channels=1,
                     data=np.zeros((3, 3), dtype=np.uint8))
+
+
+def test_pnm_rescales_small_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 2 1 15\n" + bytes([15, 0]))
+    assert read_pnm(path).data.ravel().tolist() == [255, 0]
+    path.write_bytes(b"P5 3 1 3\n" + bytes([1, 2, 3]))
+    assert read_pnm(path).data.ravel().tolist() == [85, 170, 255]
+
+
+def test_pnm_rejects_sample_above_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 2 1 15\n" + bytes([16, 0]))
+    with pytest.raises(MalformedHeader):
+        read_pnm(path)
