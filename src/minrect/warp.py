@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import MalformedHeader, SingularHomography, UnsupportedMaxval
+from .errors import InvalidCalibration, MalformedHeader, SingularHomography, UnsupportedMaxval
+from .geometry import read_only
 
 
 @dataclass(frozen=True)
@@ -45,39 +47,95 @@ def source_coords(Hinv: np.ndarray, width: int, height: int):
         return src[0] / src[2], src[1] / src[2], src[2]
 
 
+MAX_OUTPUT_PIXELS = 1 << 26  # 8192 x 8192: the largest canvas a map is built for
+
+
+@dataclass(frozen=True)
+class RectifyMap:
+    """The bilinear gather of one homography between fixed source and output sizes.
+
+    Built once per (H, sizes), applied to every image of that size: only output
+    pixels whose source lies inside the image are stored, each with the flat
+    index of its top-left source pixel and its weights ``fx``, ``fy``.
+    """
+
+    src_w: int
+    src_h: int
+    out_w: int
+    out_h: int
+    dst: np.ndarray  # flat output index of each valid pixel, int32
+    src: np.ndarray  # flat source index of its top-left neighbour, int32 or intp
+    fx: np.ndarray  # float64 weight of the right neighbour
+    fy: np.ndarray  # float64 weight of the lower neighbour
+
+    @classmethod
+    def build(cls, H: np.ndarray, src_w: int, src_h: int, out_w: int, out_h: int) -> RectifyMap:
+        """Inverse-map every output pixel through H^-1; raise before allocating
+        anything for a canvas that is not positive or exceeds ``MAX_OUTPUT_PIXELS``."""
+        if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+                    for v in (out_w, out_h))
+                or int(out_w) * int(out_h) > MAX_OUTPUT_PIXELS):
+            raise InvalidCalibration(f"output size {out_w}x{out_h} is not positive "
+                                     f"or exceeds {MAX_OUTPUT_PIXELS} pixels")
+        H = np.asarray(H, dtype=float)
+        try:
+            if np.linalg.cond(H) > 1e14:
+                raise SingularHomography("homography is numerically singular")
+            Hinv = np.linalg.inv(H)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHomography(str(exc)) from exc
+
+        sx, sy, sw = source_coords(Hinv, out_w, out_h)
+        valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
+        valid &= (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
+        dst = np.flatnonzero(valid).astype(np.int32)
+        sx = sx.ravel()[dst]
+        sy = sy.ravel()[dst]
+        # A source exactly on the last column (row) reads it as the right (lower)
+        # neighbour with weight 1, so the neighbours are always src+1 and src+W;
+        # a source 1 px wide (tall) keeps x0 = 0 with weight 0.
+        x0 = np.minimum(np.floor(sx), max(src_w - 2, 0))
+        y0 = np.minimum(np.floor(sy), max(src_h - 2, 0))
+        index = np.int32 if src_w * src_h < 2**31 else np.intp
+        src = y0.astype(index) * src_w + x0.astype(index)
+        return cls(src_w, src_h, out_w, out_h, read_only(dst), read_only(src),
+                   read_only(sx - x0), read_only(sy - y0))
+
+    def apply(self, img: ImageBuffer) -> ImageBuffer:
+        """Bilinear samples of ``img`` at the valid pixels, black elsewhere."""
+        if (img.width, img.height) != (self.src_w, self.src_h):
+            raise ValueError("image size does not match the map")
+        c = img.channels
+        # channel-major planes, so every gather and product runs along the pixels
+        planes = np.ascontiguousarray(np.moveaxis(img.data, 2, 0)).reshape(c, -1)
+        right = 1 if self.src_w > 1 else 0
+        down = self.src_w if self.src_h > 1 else 0
+        src, fx, fy = self.src, self.fx, self.fy
+        top = planes.take(src, axis=1) * (1 - fx) + planes.take(src + right, axis=1) * fx
+        bot = (planes.take(src + down, axis=1) * (1 - fx)
+               + planes.take(src + (right + down), axis=1) * fx)
+        out = np.zeros((c, self.out_h * self.out_w), dtype=np.uint8)
+        out[:, self.dst] = np.clip(np.rint(top * (1 - fy) + bot * fy), 0, 255).astype(np.uint8)
+        return ImageBuffer(width=self.out_w, height=self.out_h, channels=c,
+                           data=np.moveaxis(out.reshape(c, self.out_h, self.out_w), 0, 2))
+
+
+# One stereo pair. Keyed on the bytes of H, so a matrix changed in place gets a
+# new map; typed, so a size that is not an int never hits a map built for one.
+@lru_cache(maxsize=2, typed=True)
+def _cached_map(H_bytes: bytes, src_w: int, src_h: int, out_w: int, out_h: int) -> RectifyMap:
+    H = np.frombuffer(H_bytes, dtype=np.float64).reshape(3, 3)
+    return RectifyMap.build(H, src_w, src_h, out_w, out_h)
+
+
 def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> ImageBuffer:
     """Inverse-map every output pixel through H^-1 with bilinear sampling.
 
-    Out-of-bounds source positions produce black.
+    Out-of-bounds source positions produce black.  The map is built once per
+    (H, image size, output size) and reused while it is one of the last two.
     """
-    H = np.asarray(H, dtype=float)
-    try:
-        if np.linalg.cond(H) > 1e14:
-            raise SingularHomography("homography is numerically singular")
-        Hinv = np.linalg.inv(H)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHomography(str(exc)) from exc
-
-    sx, sy, sw = source_coords(Hinv, out_w, out_h)
-    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
-    valid &= (sx >= 0) & (sx <= img.width - 1) & (sy >= 0) & (sy <= img.height - 1)
-    sx = np.where(valid, sx, 0.0)
-    sy = np.where(valid, sy, 0.0)
-
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-    fx = (sx - x0)[..., None]
-    fy = (sy - y0)[..., None]
-
-    data = img.data.astype(float)
-    top = data[y0, x0] * (1 - fx) + data[y0, x1] * fx
-    bot = data[y1, x0] * (1 - fx) + data[y1, x1] * fx
-    out = top * (1 - fy) + bot * fy
-    out = np.where(valid[..., None], out, 0.0)
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return ImageBuffer(width=out_w, height=out_h, channels=img.channels, data=out)
+    H = np.ascontiguousarray(H, dtype=np.float64)
+    return _cached_map(H.tobytes(), img.width, img.height, out_w, out_h).apply(img)
 
 
 def _read_tokens(raw: bytes, count: int):

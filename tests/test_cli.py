@@ -215,3 +215,17 @@ def test_rectify_ill_conditioned_camera_exits_3(tmp_path):
     out = str(tmp_path / "rect.json")
     assert main(["rectify", calib, "-o", out]) == 3
     assert not os.path.exists(out)
+
+
+def test_warp_canvas_over_limit_exits_2(tmp_path):
+    """A 10^10-pixel canvas is refused before anything is allocated."""
+    from minrect.warp import from_array, write_pnm
+
+    src = str(tmp_path / "in.pgm")
+    write_pnm(from_array(np.zeros((4, 4), dtype=np.uint8)), src)
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({"H": np.eye(3).tolist()}))
+    out = str(tmp_path / "out.pgm")
+    assert main(["warp", src, str(hpath), "-o", out,
+                 "--width", "100000", "--height", "100000"]) == 2
+    assert not os.path.exists(out)

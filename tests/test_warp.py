@@ -1,9 +1,16 @@
 """Image warping and PNM I/O."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minrect.errors import MalformedHeader, SingularHomography, UnsupportedMaxval
-from minrect.warp import ImageBuffer, from_array, read_pnm, warp_image, write_pnm
+from minrect import warp
+from minrect.errors import (InvalidCalibration, MalformedHeader, SingularHomography,
+                            UnsupportedMaxval)
+from minrect.rectify import assemble
+from minrect.synth import render_view, synth_rig
+from minrect.warp import (MAX_OUTPUT_PIXELS, ImageBuffer, RectifyMap, from_array, read_pnm,
+                          source_coords, warp_image, write_pnm)
 
 
 def gradient_image(width=64, height=48):
@@ -114,3 +121,159 @@ def test_pnm_rejects_sample_above_maxval(tmp_path):
     path.write_bytes(b"P5 2 1 15\n" + bytes([16, 0]))
     with pytest.raises(MalformedHeader):
         read_pnm(path)
+
+
+# --- rectification maps ------------------------------------------------------------
+
+def reference_warp(img, H, out_w, out_h):
+    """Bilinear sampling of every output pixel, computed afresh on each call: the
+    reference that warp_image must match byte for byte."""
+    H = np.asarray(H, dtype=float)
+    try:
+        if np.linalg.cond(H) > 1e14:
+            raise SingularHomography("homography is numerically singular")
+        Hinv = np.linalg.inv(H)
+    except np.linalg.LinAlgError as exc:
+        raise SingularHomography(str(exc)) from exc
+
+    sx, sy, sw = source_coords(Hinv, out_w, out_h)
+    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
+    valid &= (sx >= 0) & (sx <= img.width - 1) & (sy >= 0) & (sy <= img.height - 1)
+    sx = np.where(valid, sx, 0.0)
+    sy = np.where(valid, sy, 0.0)
+
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
+    x1 = np.minimum(x0 + 1, img.width - 1)
+    y1 = np.minimum(y0 + 1, img.height - 1)
+    fx = (sx - x0)[..., None]
+    fy = (sy - y0)[..., None]
+
+    data = img.data.astype(float)
+    top = data[y0, x0] * (1 - fx) + data[y0, x1] * fx
+    bot = data[y1, x0] * (1 - fx) + data[y1, x1] * fx
+    out = top * (1 - fy) + bot * fy
+    out = np.where(valid[..., None], out, 0.0)
+    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return ImageBuffer(width=out_w, height=out_h, channels=img.channels, data=out)
+
+
+def assert_same_as_reference(img, H, out_w, out_h):
+    got = warp_image(img, H, out_w, out_h)
+    ref = reference_warp(img, H, out_w, out_h)
+    assert got.data.shape == ref.data.shape
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
+def random_case(k):
+    """Image, H and output size of seeded case k: a general projective map, an
+    exact power-of-two scaling that puts output samples on the last source row and
+    column, or an integer/half-pixel shift."""
+    rng = np.random.default_rng([11, k])
+    w, h = (int(v) for v in rng.integers(1, 20, size=2))
+    img = from_array(rng.integers(0, 256, size=(h, w, int(rng.choice([1, 3]))), dtype=np.uint8))
+    kind = k % 3
+    if kind == 0:
+        H = np.eye(3) + rng.normal(scale=[[0.2, 0.2, 3.0], [0.2, 0.2, 3.0], [0.01, 0.01, 0]])
+        out_w, out_h = (int(v) for v in rng.integers(1, 30, size=2))
+    elif kind == 1:
+        s = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
+        H = np.diag([s, s, 1.0])
+        out_w = int((w - 1) * s) + 1 + int(rng.integers(0, 3))
+        out_h = int((h - 1) * s) + 1 + int(rng.integers(0, 3))
+    else:
+        H = np.eye(3)
+        H[:2, 2] = rng.integers(-4, 5, size=2) / 2.0
+        out_w, out_h = w + int(rng.integers(0, 4)), h + int(rng.integers(0, 4))
+    return img, H, out_w, out_h
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warp_matches_reference_on_synth_scenes(seed):
+    rig = synth_rig(seed)
+    pair = assemble(rig)
+    for cam, H in ((rig.cam1, pair.H1), (rig.cam2, pair.H2)):
+        rgb = render_view(cam)
+        assert_same_as_reference(rgb, H, *pair.output_size)
+        assert_same_as_reference(from_array(np.array(rgb.data[:, :, 0])), H, *pair.output_size)
+
+
+def test_warp_matches_reference_on_random_cases():
+    for k in range(240):
+        assert_same_as_reference(*random_case(k))
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)])
+def test_warp_matches_reference_on_one_pixel_wide_sources(shape):
+    rng = np.random.default_rng(2)
+    img = from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    H = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.0]])
+    assert_same_as_reference(img, H, 12, 12)
+    assert_same_as_reference(img, np.eye(3), *img.data.shape[1::-1])
+
+
+def test_warp_alternating_homographies_match_fresh_maps():
+    rig = synth_rig(1)
+    pair = assemble(rig)
+    frame = render_view(rig.cam1)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        noisy = from_array(np.clip(frame.data.astype(int) + rng.integers(-9, 10, frame.data.shape),
+                                   0, 255).astype(np.uint8))
+        for H in (pair.H1, pair.H2):
+            fresh = RectifyMap.build(H, frame.width, frame.height, *pair.output_size).apply(noisy)
+            got = warp_image(noisy, H, *pair.output_size)
+            assert got.data.tobytes() == fresh.data.tobytes()
+
+
+def test_warp_map_follows_sizes_and_in_place_changes():
+    rng = np.random.default_rng(6)
+    a = from_array(rng.integers(0, 256, size=(12, 16), dtype=np.uint8))
+    b = from_array(rng.integers(0, 256, size=(16, 12), dtype=np.uint8))
+    H = np.array([[1.1, 0.1, -1.0], [0.05, 0.9, 0.5], [1e-3, 0.0, 1.0]])
+    assert_same_as_reference(a, H, 20, 15)
+    assert_same_as_reference(b, H, 20, 15)  # same H and output, other source size
+    assert_same_as_reference(a, H, 15, 20)  # same H and source, other output size
+    before = warp_image(a, H, 20, 15).data
+    H[0, 2] += 2.0  # in place: the cached map of the old values must not be used
+    assert_same_as_reference(a, H, 20, 15)
+    assert warp_image(a, H, 20, 15).data.tobytes() != before.tobytes()
+
+
+def test_warp_singular_raises_on_every_call():
+    img = gradient_image()
+    for H in (np.zeros((3, 3)), np.diag([1e15, 1.0, 1.0])):
+        for _ in range(3):
+            with pytest.raises(SingularHomography):
+                warp_image(img, H, 10, 10)
+
+
+def test_warp_map_is_read_only_and_never_aliased():
+    img = gradient_image()
+    H = np.array([[0.9, 0.05, 2.0], [0.0, 1.1, -1.0], [0.0, 1e-3, 1.0]])
+    first = warp_image(img, H, 50, 40)
+    second = warp_image(img, H, 50, 40)
+    cached = warp._cached_map(H.tobytes(), img.width, img.height, 50, 40)
+    assert cached is warp._cached_map(H.tobytes(), img.width, img.height, 50, 40)
+    assert not np.shares_memory(first.data, second.data)
+    for arr in (cached.dst, cached.src, cached.fx, cached.fy):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(first.data, arr)
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(ValueError):
+        cached.apply(gradient_image(10, 10))  # another source size
+
+
+@pytest.mark.parametrize("size", [(0, 10), (10, -1), (-4, -4), (8193, 8192),
+                                  (100000, 100000)])
+def test_warp_rejects_canvas_before_allocating(size):
+    assert MAX_OUTPUT_PIXELS == 8192 * 8192
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidCalibration):
+            warp_image(gradient_image(4, 4), np.eye(3), *size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
