@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distortion import (
+    _BLOCK,
     DistortionOperands,
+    _metric_of_y,
+    _rational_terms,
     distortion_of_w,
-    distortion_of_y,
     distortion_of_y_many,
     moment_matrices,
     operand_matrices,
@@ -52,14 +54,22 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
 
 def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                   samples: int = 200_001) -> tuple[float, float]:
-    """Dense scan plus golden-section refinement; independent oracle."""
+    """Dense scan plus golden-section refinement; independent oracle.
+
+    The grid is evaluated one block at a time, keeping the first sample of
+    least finite value, so memory beyond the grid itself stays fixed."""
     if samples < 1001:
         raise ValueError("samples must be at least 1001")
     ys = np.linspace(y_lo, y_hi, samples)
-    vals = distortion_of_y_many(ops, ys)
-    if not np.any(np.isfinite(vals)):
+    i, best = -1, np.inf
+    for start in range(0, samples, _BLOCK):
+        vals = distortion_of_y_many(ops, ys[start:start + _BLOCK])
+        np.copyto(vals, np.inf, where=~np.isfinite(vals))
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            i, best = start + j, vals[j]
+    if i < 0:
         raise EmptyDomain("every sample is pole-excluded")
-    i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
     lo = ys[max(i - 1, 0)]
     hi = ys[min(i + 1, samples - 1)]
     return _golden_section(ops, lo, hi)
@@ -67,11 +77,11 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
 
 def _golden_section(ops: DistortionOperands, lo: float, hi: float,
                     tol: float = 1e-10) -> tuple[float, float]:
+    terms = _rational_terms(ops)
+
     def f(y):
-        try:
-            return distortion_of_y(ops, y)
-        except MinrectError:
-            return float("inf")
+        value = _metric_of_y(terms, y)
+        return float("inf") if value is None else value
 
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)

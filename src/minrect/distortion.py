@@ -150,31 +150,71 @@ def _rational_terms(ops: DistortionOperands):
     return out
 
 
-def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
-    """The metric as a function of the horizon intercept on image 1."""
-    y = float(y1)
+def _metric_of_y(terms, y: float):
+    """The metric at ``y`` from ``_rational_terms``; None at a pole."""
     total = 0.0
-    for (n2, n1, n0), (d2, d1, d0) in _rational_terms(ops):
+    for (n2, n1, n0), (d2, d1, d0) in terms:
         num = (n2 * y + n1) * y + n0
         den = (d2 * y + d1) * y + d0
         if den <= 1e-15 * max(abs(num), 1.0):
-            raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
+            return None
         total += num / den
     return total
 
 
-def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
-    """Vectorised evaluation; pole-adjacent samples come out as +inf."""
-    ys = np.asarray(ys, dtype=float)
-    total = np.zeros_like(ys)
-    for (n2, n1, n0), (d2, d1, d0) in _rational_terms(ops):
-        num = (n2 * ys + n1) * ys + n0
-        den = (d2 * ys + d1) * ys + d0
-        bad = den <= 1e-15 * np.maximum(np.abs(num), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(bad, np.inf, num / np.where(bad, 1.0, den))
-        total = total + term
-    p1, p2 = poles(ops)
-    for p in (p1, p2):
-        total = np.where(np.abs(ys - p) <= _exclusion_half_width(p), np.inf, total)
+def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
+    """The metric as a function of the horizon intercept on image 1."""
+    total = _metric_of_y(_rational_terms(ops), float(y1))
+    if total is None:
+        raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total
+
+
+_BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay in cache
+
+
+def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
+    """Vectorised evaluation; pole-adjacent samples come out as +inf.
+
+    Runs over blocks of ``_BLOCK`` samples through one set of buffers, so that
+    beyond its output it needs a fixed amount of memory, whatever the size of ``ys``.
+    """
+    ys = np.asarray(ys, dtype=float)
+    out = np.empty(ys.shape)
+    flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
+    terms = _rational_terms(ops)
+    zones = [(p, _exclusion_half_width(p)) for p in poles(ops)]
+    size = min(flat_ys.size, _BLOCK)
+    num, den, tmp = np.empty(size), np.empty(size), np.empty(size)
+    bad = np.empty(size, dtype=bool)
+    for start in range(0, flat_ys.size, _BLOCK):
+        y = flat_ys[start:start + _BLOCK]
+        total = flat_out[start:start + _BLOCK]
+        k = y.size
+        nu, de, t, b = num[:k], den[:k], tmp[:k], bad[:k]
+        total.fill(0.0)
+        # distortion_of_y's arithmetic, in its order, written in place
+        for (n2, n1, n0), (d2, d1, d0) in terms:
+            np.multiply(y, n2, out=nu)
+            nu += n1
+            nu *= y
+            nu += n0
+            np.multiply(y, d2, out=de)
+            de += d1
+            de *= y
+            de += d0
+            np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1)
+            np.maximum(t, 1.0, out=t)
+            t *= 1e-15
+            np.less_equal(de, t, out=b)
+            np.copyto(de, 1.0, where=b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(nu, de, out=t)
+            np.copyto(t, np.inf, where=b)
+            total += t
+        for p, half_width in zones:
+            np.subtract(y, p, out=t)
+            np.abs(t, out=t)
+            np.less_equal(t, half_width, out=b)
+            np.copyto(total, np.inf, where=b)
+    return out

@@ -38,16 +38,45 @@ def from_array(arr: np.ndarray) -> ImageBuffer:
     return ImageBuffer(width=w, height=h, channels=c, data=arr.astype(np.uint8))
 
 
-def source_coords(Hinv: np.ndarray, width: int, height: int):
-    """Source (x, y, w) of every pixel of a width x height output under ``Hinv``:
-    x and y dehomogenised (non-finite where w is zero), w the homogeneous scale."""
-    xs, ys = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+def source_coords(Hinv: np.ndarray, width: int, height: int, first_row: int = 0):
+    """Source (x, y, w) of the pixels in rows ``first_row``..``height - 1`` of a
+    width x height output under ``Hinv``: x and y dehomogenised (non-finite where w
+    is zero), w the homogeneous scale."""
+    xs, ys = np.meshgrid(np.arange(width, dtype=float),
+                         np.arange(first_row, height, dtype=float))
     src = np.tensordot(Hinv, np.stack([xs, ys, np.ones_like(xs)]), axes=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return src[0] / src[2], src[1] / src[2], src[2]
 
 
 MAX_OUTPUT_PIXELS = 1 << 26  # 8192 x 8192: the largest canvas a map is built for
+_BLOCK_PIXELS = 1 << 15  # output pixels per block of rows in RectifyMap.build
+
+
+def _gather_rows(Hinv: np.ndarray, src_w: int, src_h: int, out_w: int, r0: int,
+                 r1: int) -> tuple:
+    """dst, src, fx, fy of the valid output pixels in rows r0..r1-1 (see RectifyMap)."""
+    sx, sy, sw = source_coords(Hinv, out_w, r1, first_row=r0)
+    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
+    valid &= (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
+    flat = np.flatnonzero(valid)
+    sx = sx.ravel()[flat]
+    sy = sy.ravel()[flat]
+    # A source exactly on the last column (row) reads it as the right (lower)
+    # neighbour with weight 1, so the neighbours are always src+1 and src+W;
+    # a source 1 px wide (tall) keeps x0 = 0 with weight 0.
+    x0 = np.minimum(np.floor(sx), max(src_w - 2, 0))
+    y0 = np.minimum(np.floor(sy), max(src_h - 2, 0))
+    index = np.int32 if src_w * src_h < 2**31 else np.intp
+    src = y0.astype(index) * src_w + x0.astype(index)
+    return (flat + r0 * out_w).astype(np.int32), src, sx - x0, sy - y0
+
+
+def _join(parts: list) -> np.ndarray:
+    """The parts as one read-only array; the list is emptied so they can be freed."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return read_only(out)
 
 
 @dataclass(frozen=True)
@@ -70,7 +99,8 @@ class RectifyMap:
 
     @classmethod
     def build(cls, H: np.ndarray, src_w: int, src_h: int, out_w: int, out_h: int) -> RectifyMap:
-        """Inverse-map every output pixel through H^-1; raise before allocating
+        """Inverse-map every output pixel through H^-1, ``_BLOCK_PIXELS`` at a time, so
+        that beyond the map itself the temporaries stay bounded; raise before allocating
         anything for a canvas that is not positive or exceeds ``MAX_OUTPUT_PIXELS``."""
         if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
                     for v in (out_w, out_h))
@@ -85,21 +115,14 @@ class RectifyMap:
         except np.linalg.LinAlgError as exc:
             raise SingularHomography(str(exc)) from exc
 
-        sx, sy, sw = source_coords(Hinv, out_w, out_h)
-        valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
-        valid &= (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
-        dst = np.flatnonzero(valid).astype(np.int32)
-        sx = sx.ravel()[dst]
-        sy = sy.ravel()[dst]
-        # A source exactly on the last column (row) reads it as the right (lower)
-        # neighbour with weight 1, so the neighbours are always src+1 and src+W;
-        # a source 1 px wide (tall) keeps x0 = 0 with weight 0.
-        x0 = np.minimum(np.floor(sx), max(src_w - 2, 0))
-        y0 = np.minimum(np.floor(sy), max(src_h - 2, 0))
-        index = np.int32 if src_w * src_h < 2**31 else np.intp
-        src = y0.astype(index) * src_w + x0.astype(index)
-        return cls(src_w, src_h, out_w, out_h, read_only(dst), read_only(src),
-                   read_only(sx - x0), read_only(sy - y0))
+        rows = max(1, _BLOCK_PIXELS // out_w)
+        parts = ([], [], [], [])  # dst, src, fx, fy of each block of rows
+        for r0 in range(0, out_h, rows):
+            block = _gather_rows(Hinv, src_w, src_h, out_w, r0, min(r0 + rows, out_h))
+            for part, arr in zip(parts, block):
+                part.append(arr)
+        dst, src, fx, fy = (_join(part) for part in parts)
+        return cls(src_w, src_h, out_w, out_h, dst, src, fx, fy)
 
     def apply(self, img: ImageBuffer) -> ImageBuffer:
         """Bilinear samples of ``img`` at the valid pixels, black elsewhere."""

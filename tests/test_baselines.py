@@ -1,4 +1,6 @@
 """Comparison baseline, dense-scan oracle, degenerate family, stress harness."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from minrect.baselines import (
     scan_minimize,
     stress,
 )
-from minrect.distortion import operand_matrices
-from minrect.errors import EmptyDomain
+from minrect import distortion
+from minrect.distortion import (_exclusion_half_width, distortion_of_y, operand_matrices,
+                                poles)
+from minrect.errors import EmptyDomain, MinrectError
 from minrect.geometry import fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble
 from minrect import serialize
 
+from test_distortion import rational_ops, reference_many
 from test_rectify import rectified_residual
 
 
@@ -73,6 +78,99 @@ def test_scan_requires_samples(rig_d):
     ops = operand_matrices(rig_d)
     with pytest.raises(ValueError):
         scan_minimize(ops, 0.0, 1.0, samples=10)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_scan(ops, y_lo, y_hi, samples=200_001):
+    """The dense scan on the whole grid at once, then golden-section refinement:
+    the reference that scan_minimize must match bit for bit."""
+    if samples < 1001:
+        raise ValueError("samples must be at least 1001")
+    ys = np.linspace(y_lo, y_hi, samples)
+    vals = reference_many(ops, ys)
+    if not np.any(np.isfinite(vals)):
+        raise EmptyDomain("every sample is pole-excluded")
+    i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
+    lo = ys[max(i - 1, 0)]
+    hi = ys[min(i + 1, samples - 1)]
+    return reference_golden_section(ops, lo, hi)
+
+
+def reference_golden_section(ops, lo, hi, tol=1e-10):
+    def f(y):
+        try:
+            return distortion_of_y(ops, y)
+        except MinrectError:
+            return float("inf")
+
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+    best = min(((f1, x1), (f2, x2)))
+    return best[1], best[0]
+
+
+def assert_scan_same_as_reference(ops, y_lo, y_hi, samples=200_001):
+    got = scan_minimize(ops, y_lo, y_hi, samples)
+    ref = reference_scan(ops, y_lo, y_hi, samples)
+    assert np.array(got).tobytes() == np.array(ref).tobytes(), (got, ref)
+    return got
+
+
+def test_scan_matches_reference_on_seeded_rigs():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        rig = random_rig(rng, max_angle=math.pi / 2)
+        h = rig.cam1.height
+        assert_scan_same_as_reference(operand_matrices(rig), -10.0 * h, 10.0 * h)
+
+
+def test_scan_matches_reference_on_rigs_next_to_poles():
+    """Rigs 396 and 2821 of this sequence have their minimum a few px from two poles."""
+    rng = np.random.default_rng(5)
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(2822)]
+    for k in (396, 2821):
+        h = rigs[k].cam1.height
+        ops = operand_matrices(rigs[k])
+        assert_scan_same_as_reference(ops, -10.0 * h, 10.0 * h)
+        assert_scan_same_as_reference(ops, -10.0 * h, 10.0 * h, samples=20_001)
+
+
+def test_scan_first_of_equal_minima_wins_across_a_block_boundary():
+    """u²/2¹⁶⁰ + A/(u² + 1) with u = y - c is exactly even in u on the integer grid, and
+    its two equal sample minima lie in different blocks: the first one is kept."""
+    block = distortion._BLOCK
+    c = block - 0.5
+    A = 1e8 * 2.0 ** -160  # minima at u = ±sqrt(1e4 - 1)
+    ops = rational_ops((1.0, -2.0 * c, c * c), (1.0, -2.0 ** 81, 2.0 ** 160),
+                       (0.0, 0.0, A), (1.0, -2.0 * c, c * c + 1.0))
+    samples = 2 * block + 1
+    ys = np.linspace(0.0, samples - 1.0, samples)
+    vals = reference_many(ops, ys)
+    lows = np.flatnonzero(vals == vals.min())
+    assert lows.tolist() == [block - 100, block + 99]  # u = -99.5 and +99.5
+    y, _ = assert_scan_same_as_reference(ops, 0.0, samples - 1.0, samples)
+    assert abs(y - (c - math.sqrt(1e4 - 1.0))) < 1e-6
+
+
+def test_scan_raises_empty_domain_inside_an_exclusion_zone(rig_d):
+    ops = operand_matrices(rig_d)
+    for p in poles(ops):
+        half = 0.5 * _exclusion_half_width(p)
+        for fn in (scan_minimize, reference_scan):
+            with pytest.raises(EmptyDomain):
+                fn(ops, p - half, p + half, 1001)
 
 
 def test_degenerate_rig_zero_is_frontoparallel():

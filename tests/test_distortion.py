@@ -1,10 +1,17 @@
 """Distortion metric: moment matrices, operands, and the y-parametrisation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minrect import distortion
+from minrect.baselines import random_rig
 from minrect.distortion import (
+    DistortionOperands,
+    _exclusion_half_width,
+    _rational_terms,
     distortion_of_w,
     distortion_of_y,
     distortion_of_y_many,
@@ -222,3 +229,119 @@ def test_admissibility_excludes_poles(rig_d):
     p1, _ = poles(ops)
     assert not is_admissible(ops, p1)
     assert is_admissible(ops, p1 + 1.0)
+
+
+# --- the vectorised metric against a whole-array reference -------------------------
+
+def reference_many(ops, ys):
+    """Whole-array evaluation of the metric, one temporary per step: the reference
+    that distortion_of_y_many must match bit for bit."""
+    ys = np.asarray(ys, dtype=float)
+    total = np.zeros_like(ys)
+    for (n2, n1, n0), (d2, d1, d0) in _rational_terms(ops):
+        num = (n2 * ys + n1) * ys + n0
+        den = (d2 * ys + d1) * ys + d0
+        bad = den <= 1e-15 * np.maximum(np.abs(num), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(bad, np.inf, num / np.where(bad, 1.0, den))
+        total = total + term
+    p1, p2 = poles(ops)
+    for p in (p1, p2):
+        total = np.where(np.abs(ys - p) <= _exclusion_half_width(p), np.inf, total)
+    return total
+
+
+def assert_same_as_reference(ops, ys):
+    got = distortion_of_y_many(ops, ys)
+    ref = reference_many(ops, ys)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def rational_ops(num1, den1, num2, den2):
+    """Operands whose metric is num1/den1 + num2/den2, each a coefficient triple
+    (y², y, 1) of a quadratic in the horizon intercept."""
+    def form(a, b, c):
+        return np.array([[0.0, 0.0, 0.0], [0.0, a, b / 2.0], [0.0, b / 2.0, c]])
+
+    m = moment_matrices(2, 2)
+    return DistortionOperands(L1=np.eye(3), L2=np.eye(3), M1=form(*num1), M2=form(*num2),
+                              C1=form(*den1), C2=form(*den2), moments1=m, moments2=m)
+
+
+def pi2_ops(count, seed=3):
+    rng = np.random.default_rng(seed)
+    return [operand_matrices(random_rig(rng, max_angle=math.pi / 2)) for _ in range(count)]
+
+
+def test_many_matches_reference_on_seeded_rigs():
+    ys = np.linspace(-4800.0, 4800.0, 20_001)  # two blocks
+    for ops in pi2_ops(200):
+        assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_at_and_around_poles():
+    for ops in pi2_ops(40, seed=7):
+        for p in poles(ops):
+            half = _exclusion_half_width(p)
+            ys = []
+            for centre in (p, p - half, p + half):
+                y = np.float64(centre)
+                ys += [np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)]
+            ys = np.array(ys)
+            assert np.isinf(distortion_of_y_many(ops, ys[:3])).all()
+            assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_on_any_shape(rig_d):
+    ops = operand_matrices(rig_d)
+    ys = np.linspace(-4800.0, 4800.0, 60_000)
+    for sample in (float(ys[7]), ys[7], np.array(ys[7]), ys[:1200].reshape(30, 40),
+                   ys.reshape(3, -1), ys[:0], ys[:0].reshape(0, 5), ys[::3], ys[::-7],
+                   ys.reshape(3, -1)[:, ::2], [1.0, 2.0, 3.0], np.arange(-500, 500)):
+        assert_same_as_reference(ops, sample)
+    assert distortion_of_y_many(ops, ys[7]).shape == ()
+
+
+def test_many_matches_reference_across_block_lengths(rig_d):
+    ops = operand_matrices(rig_d)
+    block = distortion._BLOCK
+    for n in (1, block - 1, block, block + 1, 2 * block, 200_001):
+        assert_same_as_reference(ops, np.linspace(-4800.0, 4800.0, n))
+
+
+def test_many_matches_reference_where_a_denominator_is_not_positive():
+    # den1 = (y - 3)² - 1 is negative on (2, 4), zero at 2 and 4: those samples are
+    # +inf although the excluded zone is only the 1e-9-wide one around y = 3
+    ops = rational_ops((1.0, 0.0, 0.0), (1.0, -6.0, 8.0), (0.0, 0.0, 1.0), (1.0, -40.0, 401.0))
+    ys = np.linspace(-10.0, 10.0, 2 * distortion._BLOCK + 3)
+    got = distortion_of_y_many(ops, ys)
+    assert np.isinf(got[(ys >= 2.0) & (ys <= 4.0)]).all()
+    assert np.isfinite(got[(ys < 2.0) | (ys > 4.0)]).all()
+    assert_same_as_reference(ops, ys)
+    # a positive den1 is still a pole when den1 <= 1e-15·max(|num1|, 1), num1 = y²
+    ys = np.linspace(-2.0, 2.0, 4001)
+    for d0, is_pole in ((7e-16, np.full(ys.shape, True)), (1.2e-15, ys * ys >= 1.2)):
+        ops = rational_ops((1.0, 0.0, 0.0), (1e-300, 0.0, d0), (0.0, 0.0, 1.0),
+                           (1.0, -40.0, 401.0))
+        got = distortion_of_y_many(ops, ys)
+        assert np.array_equal(np.isinf(got), is_pole | (ys == 0.0))  # 0: poles(ops)[0]
+        assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_on_signed_zeros():
+    # both numerators are -0.0 for y < 0, so both terms are -0.0 there: 0 + term1 + term2
+    # makes +0.0 of them
+    ops = rational_ops((0.0, 0.0, -0.0), (1.0, -40.0, 401.0), (0.0, 0.0, -0.0), (1.0, 40.0, 401.0))
+    ys = np.linspace(-3.0, 3.0, 7)
+    assert np.signbit(reference_many(ops, ys)).sum() == 0
+    assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_on_nonfinite_samples(rig_d):
+    ops = operand_matrices(rig_d)
+    ys = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_as_reference(ops, ys)

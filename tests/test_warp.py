@@ -277,3 +277,31 @@ def test_warp_rejects_canvas_before_allocating(size):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_warp_matches_reference_across_row_blocks():
+    """Canvases of one row per block (wider than a block), of a block size that does
+    not divide the row count, and of a single partial block."""
+    rng = np.random.default_rng(8)
+    img = from_array(rng.integers(0, 256, size=(30, 50, 3), dtype=np.uint8))
+    wide = warp._BLOCK_PIXELS + 7
+    assert_same_as_reference(img, np.diag([(wide - 1) / 49.0, 1.0, 1.0]), wide, 3)
+    big = from_array(rng.integers(0, 256, size=(300, 340), dtype=np.uint8))
+    G = np.array([[1.2, 0.1, -3.0], [-0.05, 0.9, 2.0], [2e-4, -1e-4, 1.0]])
+    assert_same_as_reference(big, G, 333, warp._BLOCK_PIXELS // 333 * 3 + 1)
+    assert_same_as_reference(big, G, 7, 5)
+
+
+def test_map_build_memory_is_bounded_per_pixel():
+    """An all-valid 1024 x 1024 canvas: the map keeps 24 B per pixel, and building it
+    needs at most 56 B per pixel in all."""
+    size = 1024
+    tracemalloc.start()
+    try:
+        m = RectifyMap.build(np.eye(3), size, size, size, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dst.size == size * size
+    assert sum(a.nbytes for a in (m.dst, m.src, m.fx, m.fy)) == 24 * size * size
+    assert peak <= 56 * size * size
