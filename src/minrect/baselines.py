@@ -30,6 +30,7 @@ from .rectify import CommonOrientation, RectifiedPair, assemble, complete_homogr
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_SIZE = (640, 480)
 STRESS_SCAN_SAMPLES = 20_001  # scan oracle density per stress trial
+SCAN_GAP_LIMIT = 1e-9  # relative excess of the closed form over the scan that counts as a miss
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -180,6 +181,7 @@ class StressReport:
     baseline_failures: int = 0
     pd_failures: int = 0
     distortion_ratios: dict = field(default_factory=dict)  # baseline / direct
+    scan_gap_max: float | None = None  # largest (direct - scan) / (1 + scan)
     timings_ms: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)  # (trial, stage, message)
 
@@ -194,18 +196,20 @@ class StressReport:
             "pd_probe_note": "default builder approximates the prior method's "
                              "unpublished forms; fractions are indicative only",
             "distortion_ratios": self.distortion_ratios,
+            "scan_gap_max": self.scan_gap_max,
             "failures": [list(f) for f in self.failures],
             "timings_ms": self.timings_ms,
         }
 
 
 def stress(trials: int, seed: int) -> StressReport:
-    """Run direct, baseline, scan oracle and PD probe on random rigs."""
+    """Run direct, baseline, scan oracle and PD probe on random rigs; a closed
+    form above the scan by more than ``SCAN_GAP_LIMIT`` is a "scan-gap" failure."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     report = StressReport(trials=trials, seed=seed)
-    ratios = []
+    ratios, gaps = [], []
     t_direct, t_baseline, t_scan = [], [], []
     for trial in range(trials):
         rig = random_rig(rng)
@@ -232,9 +236,13 @@ def stress(trials: int, seed: int) -> StressReport:
         h = rig.cam1.height
         t0 = time.perf_counter()
         try:
-            scan_minimize(ops, -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
+            _, d_scan = scan_minimize(ops, -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
         except MinrectError as exc:
             report.failures.append((trial, "scan", str(exc)))
+        else:
+            gaps.append(float((direct.distortion - d_scan) / (1.0 + d_scan)))
+            if gaps[-1] > SCAN_GAP_LIMIT:
+                report.failures.append((trial, "scan-gap", f"relative gap {gaps[-1]:.3e}"))
         t_scan.append(time.perf_counter() - t0)
 
         if not pd_probe(rig):
@@ -247,6 +255,7 @@ def stress(trials: int, seed: int) -> StressReport:
             "median": float(np.median(arr)),
             "max": float(arr[-1]),
         }
+    report.scan_gap_max = max(gaps, default=None)
     report.timings_ms = {
         name: (1000.0 * float(np.mean(vals)) if vals else 0.0)
         for name, vals in (("direct", t_direct), ("baseline", t_baseline), ("scan", t_scan))

@@ -30,7 +30,7 @@ class DegenerateCenter(MinrectError):
 
 
 class DegenerateC(MinrectError):
-    """[C]_22 vanishes; the quartic intermediates are undefined."""
+    """[C]_22 is exactly zero or a quartic coefficient is not finite."""
 
 
 class AllCoefficientsZero(MinrectError):

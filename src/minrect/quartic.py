@@ -29,7 +29,7 @@ class QuarticProblem:
 
     m: tuple  # m1..m8
     coeffs: tuple  # a, b, c, d, e
-    degenerate: bool  # quartic collapsed to degree <= 2
+    degenerate: bool  # informational: below cubic degree; no branch reads it
 
 
 @dataclass(frozen=True)
@@ -47,26 +47,27 @@ def quartic_coefficients(ops: DistortionOperands) -> QuarticProblem:
     """Build m1..m8 and the quartic coefficients from the operand matrices."""
     M1, M2, C1, C2 = ops.M1, ops.M2, ops.C1, ops.C2
     for name, C in (("C1", C1), ("C2", C2)):
-        if abs(C[1, 1]) <= 1e-14 * max(abs(np.trace(C)), 1e-300):
-            raise DegenerateC(f"[{name}]_22 vanishes; intermediates undefined")
-    m1 = M1[1, 2] * C1[1, 2] - M1[2, 2] * C1[1, 1]
-    m2 = M1[1, 1] * C1[1, 2] - M1[1, 2] * C1[1, 1]
-    m3 = C2[1, 2] / C2[1, 1]
-    m4 = C2[1, 1] / C1[1, 1]
-    m5 = M2[1, 2] * C2[1, 2] - M2[2, 2] * C2[1, 1]
-    m6 = M2[1, 1] * C2[1, 2] - M2[1, 2] * C2[1, 1]
-    m7 = C1[1, 2] / C1[1, 1]
-    m8 = C1[1, 1] / C2[1, 1]
-    a = m2 * m4 + m6 * m8
-    b = m1 * m4 + 3 * m2 * m3 * m4 + m5 * m8 + 3 * m6 * m7 * m8
-    c = 3 * m1 * m3 * m4 + 3 * m2 * m3 * m3 * m4 + 3 * m5 * m7 * m8 + 3 * m6 * m7 * m7 * m8
-    d = 3 * m1 * m3 * m3 * m4 + m2 * m3 ** 3 * m4 + 3 * m5 * m7 * m7 * m8 + m6 * m7 ** 3 * m8
-    e = m1 * m3 ** 3 * m4 + m5 * m7 ** 3 * m8
+        if C[1, 1] == 0.0:
+            raise DegenerateC(f"[{name}]_22 is zero; intermediates undefined")
+    with np.errstate(all="ignore"):  # overflow is caught below as a non-finite coefficient
+        m1 = M1[1, 2] * C1[1, 2] - M1[2, 2] * C1[1, 1]
+        m2 = M1[1, 1] * C1[1, 2] - M1[1, 2] * C1[1, 1]
+        m3 = C2[1, 2] / C2[1, 1]
+        m4 = C2[1, 1] / C1[1, 1]
+        m5 = M2[1, 2] * C2[1, 2] - M2[2, 2] * C2[1, 1]
+        m6 = M2[1, 1] * C2[1, 2] - M2[1, 2] * C2[1, 1]
+        m7 = C1[1, 2] / C1[1, 1]
+        m8 = C1[1, 1] / C2[1, 1]
+        a = m2 * m4 + m6 * m8
+        b = m1 * m4 + 3 * m2 * m3 * m4 + m5 * m8 + 3 * m6 * m7 * m8
+        c = 3 * m1 * m3 * m4 + 3 * m2 * m3 * m3 * m4 + 3 * m5 * m7 * m8 + 3 * m6 * m7 * m7 * m8
+        d = 3 * m1 * m3 * m3 * m4 + m2 * m3 ** 3 * m4 + 3 * m5 * m7 * m7 * m8 + m6 * m7 ** 3 * m8
+        e = m1 * m3 ** 3 * m4 + m5 * m7 ** 3 * m8
     coeffs = (a, b, c, d, e)
-    scale = max(abs(v) for v in coeffs)
-    # degenerate = stationarity collapses below cubic degree, judged at the
-    # root scale of the trailing polynomial (raw coefficient spans are huge)
-    degenerate = (scale > 0 and _drop_leading([a, b, c, d, e])
+    if not np.isfinite(coeffs).all():
+        raise DegenerateC("quartic coefficients are not finite")
+    # below cubic degree at the root scale of the trailing polynomial
+    degenerate = (max(abs(v) for v in coeffs) > 0 and _drop_leading([a, b, c, d, e])
                   and _drop_leading([b, c, d, e]))
     return QuarticProblem(m=(m1, m2, m3, m4, m5, m6, m7, m8),
                           coeffs=coeffs, degenerate=degenerate)
@@ -79,14 +80,10 @@ def _poly_eval(coeffs, z):
     return acc
 
 
-def _poly_derivative(coeffs):
+def _newton_polish(coeffs, z: complex) -> complex:
     n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _newton_polish(coeffs, z: complex, iters: int = 20) -> complex:
-    deriv = _poly_derivative(coeffs)
-    for _ in range(iters):
+    deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    for _ in range(20):
         f = _poly_eval(coeffs, z)
         fp = _poly_eval(deriv, z)
         if abs(fp) < 1e-300:
@@ -176,9 +173,9 @@ def _drop_leading(poly) -> bool:
     return abs(lead) * bound <= 1e-13 * abs(nxt)
 
 
-def solve_quartic(problem: QuarticProblem | tuple) -> RootSet:
+def solve_quartic(problem: QuarticProblem) -> RootSet:
     """Real roots of the (possibly degenerate-degree) quartic."""
-    coeffs = problem.coeffs if isinstance(problem, QuarticProblem) else tuple(problem)
+    coeffs = problem.coeffs
     scale = max(abs(v) for v in coeffs)
     if scale == 0.0:
         raise AllCoefficientsZero("all polynomial coefficients are zero")
@@ -225,15 +222,8 @@ def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
                    roots: RootSet) -> tuple[float, float]:
     """Pick the admissible stationary point with the least distortion.
 
-    Ties break toward smaller |y1|; the identical-camera linear case uses
-    the -m1/m2 shortcut.
+    Ties break toward smaller |y1|; ``problem`` is not read.
     """
-    if problem.degenerate:
-        m1, m2 = problem.m[0], problem.m[1]
-        if abs(m2) <= 1e-300:
-            raise NoAdmissibleRoot("degenerate problem with m2 == 0")
-        y = -m1 / m2
-        return y, distortion_of_y(ops, y)
     best = None
     for r in roots.roots:
         if not is_admissible(ops, r):

@@ -1,4 +1,5 @@
 """Comparison baseline, dense-scan oracle, degenerate family, stress harness."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from minrect.baselines import (
     scan_minimize,
     stress,
 )
-from minrect import distortion
+from minrect import baselines, distortion
 from minrect.distortion import (_exclusion_half_width, distortion_of_y, operand_matrices,
                                 poles)
 from minrect.errors import EmptyDomain, MinrectError
@@ -225,6 +226,34 @@ def test_stress_deterministic_excluding_timings():
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert serialize.dumps(a) == serialize.dumps(b)
+
+
+def test_stress_compares_closed_form_with_scan():
+    report = stress(20, seed=3)
+    rng = np.random.default_rng(3)
+    gaps = []
+    for _ in range(20):  # the same rigs, drawn and scanned again
+        rig = random_rig(rng)
+        h = rig.cam1.height
+        _, d_scan = scan_minimize(operand_matrices(rig), -10.0 * h, 10.0 * h,
+                                  baselines.STRESS_SCAN_SAMPLES)
+        gaps.append((assemble(rig).distortion - d_scan) / (1.0 + d_scan))
+    assert report.direct_successes == 20
+    assert report.to_dict()["scan_gap_max"] == report.scan_gap_max == max(gaps)
+    assert report.scan_gap_max <= baselines.SCAN_GAP_LIMIT
+    assert not [f for f in report.failures if f[1] == "scan-gap"]
+
+
+def test_stress_lists_scan_gap_failures(monkeypatch):
+    """A closed form pushed above the scan minimum fails every trial at "scan-gap"."""
+    def inflated(rig):
+        pair = assemble(rig)
+        return dataclasses.replace(pair, distortion=pair.distortion * (1.0 + 1e-6) + 1e-6)
+
+    monkeypatch.setattr(baselines, "assemble", inflated)
+    report = stress(5, seed=3)
+    assert [f[0] for f in report.failures if f[1] == "scan-gap"] == list(range(5))
+    assert report.scan_gap_max > 1e-7
 
 
 def test_stress_rejects_zero_trials():
