@@ -76,8 +76,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     return _golden_section(ops, lo, hi)
 
 
-def _golden_section(ops: DistortionOperands, lo: float, hi: float,
-                    tol: float = 1e-10) -> tuple[float, float]:
+def _golden_section(ops: DistortionOperands, lo: float, hi: float) -> tuple[float, float]:
     terms = _rational_terms(ops)
 
     def f(y):
@@ -87,7 +86,7 @@ def _golden_section(ops: DistortionOperands, lo: float, hi: float,
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
+    while hi - lo > 1e-10 * (1.0 + abs(lo) + abs(hi)):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -100,8 +99,7 @@ def _golden_section(ops: DistortionOperands, lo: float, hi: float,
     return best[1], best[0]
 
 
-def degenerate_rig(a: float, theta_x: float, intrinsics=None,
-                   size=DEFAULT_SIZE) -> StereoRig:
+def degenerate_rig(a: float, theta_x: float) -> StereoRig:
     """Second camera at (1, a, a*tan(theta_x)), body-rotated about x.
 
     On this family the second epipole sits at infinity and initial-guess
@@ -109,8 +107,7 @@ def degenerate_rig(a: float, theta_x: float, intrinsics=None,
     """
     if abs(theta_x) >= math.pi / 2:
         raise ValueError("theta_x must be inside (-pi/2, pi/2)")
-    A = DEFAULT_INTRINSICS if intrinsics is None else np.asarray(intrinsics, dtype=float)
-    w, h = size
+    A, (w, h) = DEFAULT_INTRINSICS, DEFAULT_SIZE
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=w, height=h)
     o2 = np.array([1.0, a, a * math.tan(theta_x)])
     R2 = rot_x(theta_x).T  # world->camera map of a body rotated by theta_x
@@ -153,12 +150,10 @@ def pd_probe(rig: StereoRig) -> bool:
     return _cholesky_ok(A) and _cholesky_ok(Ap)
 
 
-def random_rig(rng: np.random.Generator, intrinsics=None, size=DEFAULT_SIZE,
-               max_angle: float = math.pi / 3) -> StereoRig:
+def random_rig(rng: np.random.Generator, max_angle: float = math.pi / 3) -> StereoRig:
     """Fixed intrinsics, random extrinsics: angle-axis rotation inside a
     bounded ball, unit-length random baseline direction."""
-    A = DEFAULT_INTRINSICS if intrinsics is None else np.asarray(intrinsics, dtype=float)
-    w, h = size
+    A, (w, h) = DEFAULT_INTRINSICS, DEFAULT_SIZE
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)

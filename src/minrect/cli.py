@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stress", help="randomized stress harness")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", "--output", dest="output", required=True)
+    p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_stress)
 
     p = sub.add_parser("synth", help="generate a synthetic calibrated scene")

@@ -24,8 +24,6 @@ class MomentMatrices:
 
     ppt: np.ndarray  # centered moments, diagonal with zero last entry
     pcpct: np.ndarray  # outer product of the average pixel
-    width: int
-    height: int
 
 
 def moment_matrices(width: int, height: int) -> MomentMatrices:
@@ -35,8 +33,7 @@ def moment_matrices(width: int, height: int) -> MomentMatrices:
     w, h = float(width), float(height)
     ppt = (w * h / 12.0) * np.diag([w * w - 1.0, h * h - 1.0, 0.0])
     v = np.array([(w - 1.0) / 2.0, (h - 1.0) / 2.0, 1.0])
-    return MomentMatrices(ppt=read_only(ppt), pcpct=read_only(np.outer(v, v)),
-                          width=int(width), height=int(height))
+    return MomentMatrices(ppt=read_only(ppt), pcpct=read_only(np.outer(v, v)))
 
 
 @dataclass(frozen=True)

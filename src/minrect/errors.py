@@ -38,7 +38,7 @@ class AllCoefficientsZero(MinrectError):
 
 
 class NoAdmissibleRoot(MinrectError):
-    """All stationary points fall inside pole-exclusion zones."""
+    """No real stationary point, or every real one is pole-adjacent."""
 
 
 class DegenerateZ(MinrectError):

@@ -176,16 +176,6 @@ def epipolar_line(F: np.ndarray, p, direction: str = "1->2") -> np.ndarray:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def camera_to_dict(cam: Camera) -> dict:
-    return {
-        "A": cam.A.tolist(),
-        "R": cam.R.tolist(),
-        "t": cam.t.tolist(),
-        "width": cam.width,
-        "height": cam.height,
-    }
-
-
 def camera_from_dict(d: dict) -> Camera:
     try:
         return Camera(
@@ -200,7 +190,9 @@ def camera_from_dict(d: dict) -> Camera:
 
 
 def rig_to_dict(rig: StereoRig) -> dict:
-    return {"cam1": camera_to_dict(rig.cam1), "cam2": camera_to_dict(rig.cam2)}
+    return {name: {"A": cam.A.tolist(), "R": cam.R.tolist(), "t": cam.t.tolist(),
+                   "width": cam.width, "height": cam.height}
+            for name, cam in (("cam1", rig.cam1), ("cam2", rig.cam2))}
 
 
 def load_json(path) -> dict:

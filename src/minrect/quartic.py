@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionOperands, distortion_of_y, is_admissible
-from .errors import AllCoefficientsZero, DegenerateC, NoAdmissibleRoot, PoleAtY
+from .distortion import DistortionOperands, _metric_of_y, _rational_terms, is_admissible
+from .errors import AllCoefficientsZero, DegenerateC, NoAdmissibleRoot
 
 _OMEGA = complex(-0.5, np.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
@@ -222,21 +222,21 @@ def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
                    roots: RootSet) -> tuple[float, float]:
     """Pick the admissible stationary point with the least distortion.
 
-    Ties break toward smaller |y1|; ``problem`` is not read.
+    Ties break toward smaller |y1|; ``problem`` is not read.  A root whose
+    denominator vanishes (a multiple root polished onto a pole neighbourhood)
+    is skipped: the function diverges there, so it is never the minimum.
     """
+    terms = _rational_terms(ops)
     best = None
     for r in roots.roots:
-        if not is_admissible(ops, r):
-            continue
-        try:
-            d = distortion_of_y(ops, r)
-        except PoleAtY:
-            # a multiple root polished onto a pole neighbourhood; never the
-            # minimum, since the function diverges there
+        d = _metric_of_y(terms, float(r)) if is_admissible(ops, r) else None
+        if d is None:
             continue
         key = (d, abs(r))
         if best is None or key < best[0]:
             best = (key, r, d)
     if best is None:
-        raise NoAdmissibleRoot("every stationary point is pole-adjacent")
+        if not roots.roots:
+            raise NoAdmissibleRoot("no real stationary point")
+        raise NoAdmissibleRoot("every real stationary point is pole-adjacent")
     return best[1], best[2]

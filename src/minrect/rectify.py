@@ -42,8 +42,6 @@ class RectifiedPair:
     w2: tuple
     shear1: tuple  # (s_a, s_b)
     shear2: tuple
-    fit_scale: float
-    fit_offsets: tuple  # (tx1, tx2, ty shared)
     distortion: float
     y1_star: float
     output_size: tuple  # (width, height) of the union canvas
@@ -165,6 +163,4 @@ def complete_homographies(rig: StereoRig, orientation: CommonOrientation,
     return RectifiedPair(
         H1=Hs[0], H2=Hs[1], w1=ws[0], w2=ws[1],
         shear1=shears[0], shear2=shears[1],
-        fit_scale=float(fit1[0, 0]),
-        fit_offsets=(float(fit1[0, 2]), float(fit2[0, 2]), float(fit1[1, 2])),
         distortion=float(dist), y1_star=float(y1_star), output_size=out_size)

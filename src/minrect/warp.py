@@ -210,17 +210,16 @@ def read_pnm(path) -> ImageBuffer:
         raise MalformedHeader("non-positive dimensions")
     if not 0 < maxval <= 255:
         raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
-    body = raw[2 + offset :]
     expected = width * height * channels
-    if len(body) < expected:
+    if len(raw) - 2 - offset < expected:
         raise MalformedHeader("pixel data shorter than header promises")
-    data = np.frombuffer(body[:expected], dtype=np.uint8).reshape(height, width, channels)
+    data = np.frombuffer(raw, np.uint8, expected, 2 + offset).reshape(height, width, channels)
     if maxval < 255:
         if data.max() > maxval:
             raise MalformedHeader(f"sample above maxval {maxval}")
         # round(v * 255 / maxval), halves rounded up
         data = ((data.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
-    return ImageBuffer(width=width, height=height, channels=channels, data=data.copy())
+    return ImageBuffer(width=width, height=height, channels=channels, data=data)
 
 
 def write_pnm(img: ImageBuffer, path) -> None:

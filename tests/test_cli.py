@@ -229,3 +229,9 @@ def test_warp_canvas_over_limit_exits_2(tmp_path):
     assert main(["warp", src, str(hpath), "-o", out,
                  "--width", "100000", "--height", "100000"]) == 2
     assert not os.path.exists(out)
+
+
+def test_evaluate_rejects_2x2_homography(tmp_path, rig_d_path):
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({"H1": [[1.0, 0.0], [0.0, 1.0]], "H2": np.eye(3).tolist()}))
+    assert main(["evaluate", rig_d_path, "--homographies", str(hpath)]) == 2

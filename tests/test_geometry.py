@@ -170,3 +170,28 @@ def test_calibration_rejects_non_finite(tmp_path):
     path.write_text('{"cam1": {"A": [[NaN,0,0],[0,1,0],[0,0,1]]}}')
     with pytest.raises(InvalidCalibration):
         load_calibration(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", A_LEFT[:2, :2], "3x3"),
+    ("t", [0.0, np.nan, 0.0], "finite"),
+    ("A", A_LEFT + np.diag([0.0, 0.0, 1.0]), r"A\[2,2\] == 1"),
+    ("R", np.diag([1.0, 1.0, -1.0]), "determinant"),
+    ("width", 1, "at least 2x2"),
+], ids=["2x2 A", "NaN in t", "A22 = 2", "det(R) = -1", "1 px wide"])
+def test_camera_rejects_invalid_parameters(field, value, message):
+    params = dict(A=A_LEFT, R=np.eye(3), t=np.zeros(3), width=640, height=480)
+    params[field] = value
+    with pytest.raises(InvalidCamera, match=message):
+        Camera(**params)
+
+
+def test_epipolar_line_of_second_epipole_is_zero(rig_d):
+    F = fundamental_matrix(rig_d)
+    _, e2 = epipoles(rig_d)
+    assert np.linalg.norm(epipolar_line(F, e2, "2->1")) <= 1e-9
+
+
+def test_epipolar_line_rejects_unknown_direction(rig_d):
+    with pytest.raises(ValueError, match="unknown direction"):
+        epipolar_line(fundamental_matrix(rig_d), [0.0, 0.0, 1.0], "1<-2")

@@ -1,12 +1,15 @@
 """Quartic coefficients, closed-form root solving, minimum selection."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minrect.distortion import distortion_of_y, is_admissible, operand_matrices
-from minrect.errors import AllCoefficientsZero
+from minrect.errors import AllCoefficientsZero, NoAdmissibleRoot, PipelineError
 from minrect.quartic import (
+    RootSet,
     QuarticProblem,
     quartic_coefficients,
     select_minimum,
@@ -15,6 +18,10 @@ from minrect.quartic import (
 
 from conftest import A_LEFT, make_camera, rot_y
 from minrect.geometry import StereoRig
+from minrect.rectify import assemble
+from test_acceptance import scan_gap
+from test_distortion import rational_ops
+from test_small_c22 import two_cameras
 
 
 def as_problem(coeffs) -> QuarticProblem:
@@ -236,3 +243,54 @@ def test_select_minimum_beats_dense_scan(rig_d):
     y_star, d_star = select_minimum(ops, problem, solve_quartic(problem))
     _, d_scan = scan_minimize(ops, -10 * 480, 10 * 480, samples=200_001)
     assert d_star <= d_scan + 1e-9 * (1.0 + d_scan)
+
+
+# 1/(y² - 6y + 8) has its pole zone at 3 but a zero denominator at 2 and 4.
+POLE_OPS = rational_ops((1, 0, 0), (1, -6, 8), (0, 0, 1), (1, -40, 401))
+
+
+def test_select_minimum_skips_admissible_root_with_zero_denominator():
+    roots = RootSet(roots=(2.0, 10.0), residuals=(0.0, 0.0))
+    y_star, d_star = select_minimum(POLE_OPS, None, roots)
+    assert y_star == 10.0
+    assert d_star == 100.0 / 48.0 + 1.0 / 101.0
+
+
+def test_select_minimum_names_why_no_root_is_left():
+    with pytest.raises(NoAdmissibleRoot, match="every real stationary point is pole-adjacent"):
+        select_minimum(POLE_OPS, None, RootSet(roots=(3.0,), residuals=(0.0,)))
+    with pytest.raises(NoAdmissibleRoot, match="no real stationary point"):
+        select_minimum(POLE_OPS, None, RootSet(roots=(), residuals=()))
+
+
+# Draw 2590 of rig_params(default_rng(123), head=False, max_angle=pi/3) in the
+# benchmark's rig lists, written out: poles at 2223.26 and 2228.93, where the
+# quartic has no real root.
+NO_REAL_ROOT_R2 = np.array([
+    [0.8221978797916849, 0.17544017188194785, 0.5414899745665571],
+    [-0.5186248187809104, 0.622926495002325, 0.5856542317516253],
+    [-0.23456117285374825, -0.7623538075684748, 0.6031564708061441]])
+NO_REAL_ROOT_RIG = two_cameras(
+    np.array([[1581.4323701865794, 0.0, 897.4642400496084],
+              [0.0, 1578.5197319875804, 1137.0896094787001], [0.0, 0.0, 1.0]]),
+    np.array([[2999.3951170705514, 0.0, 1557.9152032198099],
+              [0.0, 3048.3629147644906, 1100.3746498486087], [0.0, 0.0, 1.0]]),
+    NO_REAL_ROOT_R2,
+    -NO_REAL_ROOT_R2 @ [-0.42485912602002773, 0.5134928428269215, 0.745533247684518],
+    2592, 1944)
+
+
+def test_rig_without_real_stationary_point_fails_by_name_or_hits_scan():
+    """Either the scan minimum or a NoAdmissibleRoot that names the cause;
+    never NaN and never a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pair = assemble(NO_REAL_ROOT_RIG)
+        except PipelineError as exc:
+            assert exc.stage == "minimum-selection"
+            assert isinstance(exc.cause, NoAdmissibleRoot)
+            assert str(exc.cause) == "no real stationary point"
+            return
+        assert np.isfinite(pair.distortion)
+        assert scan_gap(NO_REAL_ROOT_RIG, pair) <= 1e-9

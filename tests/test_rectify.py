@@ -4,7 +4,8 @@ import pytest
 
 from minrect.baselines import random_rig
 from minrect.distortion import distortion_of_y, is_admissible, operand_matrices, w_from_y
-from minrect.geometry import fundamental_matrix, epipoles, normalize_matrix, project
+from minrect.errors import CollapsedMidlines, DegenerateZ
+from minrect.geometry import StereoRig, fundamental_matrix, epipoles, normalize_matrix, project
 from minrect.rectify import (
     assemble,
     joint_fit,
@@ -12,7 +13,7 @@ from minrect.rectify import (
     shear_similarity,
 )
 
-from conftest import visible_points
+from conftest import A_LEFT, make_camera, visible_points
 
 FBAR = normalize_matrix(np.array([[0.0, 0.0, 0.0],
                                   [0.0, 0.0, -1.0],
@@ -256,3 +257,20 @@ def test_ill_conditioned_projection_is_rejected(which):
         fusiello_rectify(rig)
     with pytest.raises(SingularProjection):
         fundamental_matrix(rig)
+
+
+def test_orientation_rejects_baseline_along_horizon_ray():
+    """cam2's centre lies on the ray of (0, y, 1) from cam1: no horizon normal."""
+    y = 100.0
+    ray = np.linalg.solve(A_LEFT, [0.0, y, 1.0])
+    rig = StereoRig(cam1=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0)),
+                    cam2=make_camera(A_LEFT, np.eye(3), ray / np.linalg.norm(ray)))
+    with pytest.raises(DegenerateZ):
+        new_orientation(rig, y)
+
+
+def test_shear_rejects_midpoint_at_infinity():
+    w, h = 640, 480
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-2.0 / w, 0.0, 1.0]])
+    with pytest.raises(CollapsedMidlines):
+        shear_similarity(H, w, h)

@@ -123,6 +123,19 @@ def test_pnm_rejects_sample_above_maxval(tmp_path):
         read_pnm(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P", "too short"),
+    (b"P5\nx 2\n255\n\0\0", "non-integer"),
+    (b"P5\n2 0\n255\n\0", "non-positive"),
+    (b"P5\n2 2\n# comment to the end", "truncated"),
+])
+def test_pnm_rejects_malformed_header(tmp_path, raw, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedHeader, match=message):
+        read_pnm(path)
+
+
 # --- rectification maps ------------------------------------------------------------
 
 def reference_warp(img, H, out_w, out_h):
