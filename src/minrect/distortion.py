@@ -8,6 +8,7 @@ the metric a rational function of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,17 +122,25 @@ def pixel_sum_distortion(w, width: int, height: int) -> float:
 
 
 def poles(ops: DistortionOperands) -> tuple[float, float]:
-    """Roots of the two quadratic denominators (each a double root)."""
-    return (-ops.C1[1, 2] / ops.C1[1, 1], -ops.C2[1, 2] / ops.C2[1, 1])
+    """Roots of the two quadratic denominators (each a double root).
+
+    A term with [C_i]_22 == 0 has a denominator that does not depend on y (C_i is
+    rank 1, so [C_i]_23 is 0 too): its pole is at infinity and excludes nothing."""
+    return tuple(-C[1, 2] / C[1, 1] if C[1, 1] != 0.0 else math.inf for C in (ops.C1, ops.C2))
 
 
 def _exclusion_half_width(pole: float) -> float:
     return POLE_HALF_WIDTH * (1.0 + abs(pole))
 
 
+def _exclusion_zones(ops: DistortionOperands) -> list[tuple[float, float]]:
+    """(pole, half-width) of each finite pole."""
+    return [(p, _exclusion_half_width(p)) for p in poles(ops) if math.isfinite(p)]
+
+
 def is_admissible(ops: DistortionOperands, y1: float) -> bool:
     """Whether y1 lies outside both pole-exclusion zones."""
-    return all(abs(y1 - p) > _exclusion_half_width(p) for p in poles(ops))
+    return all(abs(y1 - p) > half_width for p, half_width in _exclusion_zones(ops))
 
 
 def _rational_terms(ops: DistortionOperands):
@@ -180,7 +189,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     out = np.empty(ys.shape)
     flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
     terms = _rational_terms(ops)
-    zones = [(p, _exclusion_half_width(p)) for p in poles(ops)]
+    zones = _exclusion_zones(ops)
     size = min(flat_ys.size, _BLOCK)
     num, den, tmp = np.empty(size), np.empty(size), np.empty(size)
     bad = np.empty(size, dtype=bool)

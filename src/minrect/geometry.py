@@ -178,12 +178,15 @@ def epipolar_line(F: np.ndarray, p, direction: str = "1->2") -> np.ndarray:
 
 def camera_from_dict(d: dict) -> Camera:
     try:
+        size = d["width"], d["height"]
+        if not all(type(v) is int for v in size):  # JSON integers; not bool, float or str
+            raise TypeError(f"width and height must be integers, got {size!r}")
         return Camera(
             A=np.array(d["A"], dtype=float),
             R=np.array(d["R"], dtype=float),
             t=np.array(d["t"], dtype=float),
-            width=int(d["width"]),
-            height=int(d["height"]),
+            width=size[0],
+            height=size[1],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCalibration(f"bad camera record: {exc}") from exc

@@ -53,7 +53,9 @@ def new_orientation(rig: StereoRig, y1: float) -> CommonOrientation:
     x_hat = rig.x_hat
     u = np.array([0.0, float(y1), 1.0])
     # The intercept ray direction from the first center, minus its baseline
-    # component; equals (A1 R1)^-1 u exactly.
+    # component.  The direction is (A1 R1)^-1 u, solved rather than taken from
+    # projection_inv: the two differ in the last bits, and the golden outputs
+    # are those of the solve.
     dir1 = np.linalg.solve(rig.cam1.projection, u)
     z = dir1 - x_hat * float(x_hat @ dir1)
     nz = np.linalg.norm(z)

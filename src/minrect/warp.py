@@ -1,6 +1,7 @@
 """Raster warping and binary netpbm (PGM/PPM) input/output."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,8 +26,7 @@ class ImageBuffer:
         arr = np.ascontiguousarray(self.data, dtype=np.uint8)
         if arr.shape != (self.height, self.width, self.channels):
             raise ValueError("data shape does not match declared dimensions")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", read_only(arr))
 
 
 def from_array(arr: np.ndarray) -> ImageBuffer:
@@ -161,31 +161,11 @@ def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> Image
     return _cached_map(H.tobytes(), img.width, img.height, out_w, out_h).apply(img)
 
 
-def _read_tokens(raw: bytes, count: int):
-    """First ``count`` whitespace tokens after the magic, skipping comments.
-
-    Returns the tokens and the offset just past the single whitespace byte
-    terminating the last one.
-    """
-    tokens = []
-    i = 0
-    n = len(raw)
-    while len(tokens) < count:
-        while i < n and raw[i : i + 1].isspace():
-            i += 1
-        if i < n and raw[i : i + 1] == b"#":
-            while i < n and raw[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        start = i
-        while i < n and not raw[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise MalformedHeader("truncated header")
-        tokens.append(raw[start:i])
-    if i >= n:
-        raise MalformedHeader("missing pixel data")
-    return tokens, i + 1
+# Netpbm header after the magic: width, height and maxval, each preceded by
+# whitespace and '#' comments that run to the end of the line.  The lookaheads
+# keep backtracking from ending a comment or a field early (Python 3.10 has no
+# possessive quantifiers); a group is None when the header ends before its field.
+_HEADER = re.compile(rb"P[56]" + rb"(?:(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S))?" * 3)
 
 
 def read_pnm(path) -> ImageBuffer:
@@ -194,16 +174,17 @@ def read_pnm(path) -> ImageBuffer:
         raw = fh.read()
     if len(raw) < 2:
         raise MalformedHeader("file too short")
-    magic = raw[:2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise MalformedHeader(f"unsupported magic {magic!r}")
-    tokens, offset = _read_tokens(raw[2:], 3)
+    channels = {b"P5": 1, b"P6": 3}.get(raw[:2])
+    if channels is None:
+        raise MalformedHeader(f"unsupported magic {raw[:2]!r}")
+    header = _HEADER.match(raw)  # at offset 0 of raw: no copy of the file
+    if header[3] is None:
+        raise MalformedHeader("truncated header")
+    offset = header.end() + 1  # past the one whitespace byte that ends maxval
+    if offset > len(raw):
+        raise MalformedHeader("missing pixel data")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError as exc:
         raise MalformedHeader(f"non-integer header field: {exc}") from exc
     if width < 1 or height < 1:
@@ -211,9 +192,9 @@ def read_pnm(path) -> ImageBuffer:
     if not 0 < maxval <= 255:
         raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
     expected = width * height * channels
-    if len(raw) - 2 - offset < expected:
+    if len(raw) - offset < expected:
         raise MalformedHeader("pixel data shorter than header promises")
-    data = np.frombuffer(raw, np.uint8, expected, 2 + offset).reshape(height, width, channels)
+    data = np.frombuffer(raw, np.uint8, expected, offset).reshape(height, width, channels)
     if maxval < 255:
         if data.max() > maxval:
             raise MalformedHeader(f"sample above maxval {maxval}")
@@ -228,4 +209,4 @@ def write_pnm(img: ImageBuffer, path) -> None:
     header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(img.data.tobytes())
+        fh.write(img.data)  # C-contiguous, see ImageBuffer

@@ -235,3 +235,39 @@ def test_evaluate_rejects_2x2_homography(tmp_path, rig_d_path):
     hpath = tmp_path / "h.json"
     hpath.write_text(json.dumps({"H1": [[1.0, 0.0], [0.0, 1.0]], "H2": np.eye(3).tolist()}))
     assert main(["evaluate", rig_d_path, "--homographies", str(hpath)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("width", 640.7), ("width", "640"),
+                                          ("width", 640.0), ("height", True)])
+def test_rectify_rejects_non_integer_sizes(tmp_path, rig_d, capsys, field, value):
+    """A calibration size must be a JSON integer: nothing is rounded or parsed."""
+    data = rig_to_dict(rig_d)
+    data["cam2"][field] = value
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps(data))
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", str(calib), "-o", out]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_dumps_formats_nonfinite_and_special_values():
+    assert serialize.dumps([float("nan"), float("inf"), -float("inf")]) == '["nan", "inf", "-inf"]'
+    assert serialize.dumps({"a": True, "b": False, "c": None}) == \
+        '{"a": true, "b": false, "c": null}'
+    assert serialize.dumps(np.array([[0.1, np.nan], [np.inf, 2.0]])) == \
+        '[[0.10000000000000001, "nan"], ["inf", 2]]'
+    assert serialize.dumps((np.int64(3), np.float32(0.5), 1, "x")) == '[3, 0.5, 1, "x"]'
+
+
+def test_entry_exits_with_the_main_code(tmp_path, rig_d_path, monkeypatch):
+    from minrect.cli import entry
+
+    out = str(tmp_path / "rect.json")
+    for argv, code in ((["rectify", rig_d_path, "-o", out], 0),
+                       (["rectify", str(tmp_path / "missing.json"), "-o", out], 4),
+                       (["rectify"], 2)):
+        monkeypatch.setattr("sys.argv", ["minrect", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code

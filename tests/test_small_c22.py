@@ -15,7 +15,8 @@ import pytest
 
 from minrect import serialize
 from minrect.cli import main
-from minrect.distortion import operand_matrices
+from minrect.baselines import scan_minimize
+from minrect.distortion import distortion_of_y_many, is_admissible, operand_matrices, poles
 from minrect.errors import DegenerateC, PipelineError
 from minrect.geometry import Camera, StereoRig, cross_matrix, rig_to_dict
 from minrect.quartic import quartic_coefficients
@@ -119,6 +120,25 @@ def test_exactly_zero_c22_raises_or_is_exact():
     assert np.isfinite(pair.H1).all() and np.isfinite(pair.H2).all()
     assert math.isfinite(pair.y1_star)
     assert 0.0 <= pair.distortion <= 1e-9
+
+
+def test_y_independent_denominators_have_no_pole():
+    """On the same rig [C_i]_22 and [C_i]_23 are both 0: each denominator is a
+    constant, so no y is excluded and the scan finds the exact zero without a warning,
+    while assemble still stops at the quartic."""
+    A = np.array([[512.0, 0.0, 320.0], [0.0, 512.0, 240.0], [0.0, 0.0, 1.0]])
+    rig = two_cameras(A, A, np.eye(3), (-1.0, 0.0, 0.0), 641, 481)
+    ops = operand_matrices(rig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poles(ops) == (math.inf, math.inf)
+        assert is_admissible(ops, 0.0) and is_admissible(ops, 240.0)
+        y, d = scan_minimize(ops, -4810.0, 4810.0)
+        assert d == 0.0 and abs(y - 240.0) <= 1e-4
+        assert np.isfinite(distortion_of_y_many(ops, np.linspace(-4810.0, 4810.0, 1001))).all()
+        with pytest.raises(PipelineError) as exc:
+            assemble(rig)
+    assert isinstance(exc.value.cause, DegenerateC)
 
 
 def test_overflowing_coefficients_raise_without_warning(rig_d):

@@ -1,4 +1,7 @@
 """Image warping and PNM I/O."""
+import collections
+import io
+import random
 import tracemalloc
 
 import numpy as np
@@ -134,6 +137,165 @@ def test_pnm_rejects_malformed_header(tmp_path, raw, message):
     path.write_bytes(raw)
     with pytest.raises(MalformedHeader, match=message):
         read_pnm(path)
+
+
+# --- the header grammar against the token scanner it replaced ------------------------
+
+def reference_read_tokens(raw: bytes, count: int):
+    """First ``count`` whitespace tokens after the magic, skipping comments.
+
+    Returns the tokens and the offset just past the single whitespace byte
+    terminating the last one.
+    """
+    tokens = []
+    i = 0
+    n = len(raw)
+    while len(tokens) < count:
+        while i < n and raw[i : i + 1].isspace():
+            i += 1
+        if i < n and raw[i : i + 1] == b"#":
+            while i < n and raw[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+            continue
+        start = i
+        while i < n and not raw[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise MalformedHeader("truncated header")
+        tokens.append(raw[start:i])
+    if i >= n:
+        raise MalformedHeader("missing pixel data")
+    return tokens, i + 1
+
+
+def reference_read_pnm(raw: bytes) -> ImageBuffer:
+    """The token-scanner reader, on the bytes of a file: what read_pnm must match."""
+    if len(raw) < 2:
+        raise MalformedHeader("file too short")
+    magic = raw[:2]
+    if magic == b"P5":
+        channels = 1
+    elif magic == b"P6":
+        channels = 3
+    else:
+        raise MalformedHeader(f"unsupported magic {magic!r}")
+    tokens, offset = reference_read_tokens(raw[2:], 3)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise MalformedHeader(f"non-integer header field: {exc}") from exc
+    if width < 1 or height < 1:
+        raise MalformedHeader("non-positive dimensions")
+    if not 0 < maxval <= 255:
+        raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
+    expected = width * height * channels
+    if len(raw) - 2 - offset < expected:
+        raise MalformedHeader("pixel data shorter than header promises")
+    data = np.frombuffer(raw, np.uint8, expected, 2 + offset).reshape(height, width, channels)
+    if maxval < 255:
+        if data.max() > maxval:
+            raise MalformedHeader(f"sample above maxval {maxval}")
+        # round(v * 255 / maxval), halves rounded up
+        data = ((data.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
+    return ImageBuffer(width=width, height=height, channels=channels, data=data)
+
+
+def outcome(read, raw):
+    """The image a reader returns, or the type and message of what it raises."""
+    try:
+        img = read(raw)
+    except Exception as exc:  # any type: the exception is the outcome
+        return type(exc), str(exc)
+    return img.width, img.height, img.channels, img.data.tobytes()
+
+
+_SEPARATORS = (b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"\r\n", b"  \t",  # whitespace
+               b"#", b"# c", b"#2 2", b"##", b"#\t\v\f",  # comments run to \n, \r or the end
+               b"\0", b"\0\0\0")
+_FIELDS = (b"0", b"-1", b"256", b"1", b"2", b"3", b"15", b"255", b"+2", b"1_0", b"0x3",
+           b"2.0", b"\xff", b"#2", b"2#", b"2\0", b"\0", b"")
+_BODIES = (b"", b"\n", b"\r", b"\t", b"\f", b"\v", b"#\n", b"\0")
+
+
+def random_header(rng: random.Random) -> bytes:
+    """A magic, two to four fields with separators, comments and NUL runs around
+    them, then a body that may be short, exact or long, dark or bright; one in
+    twenty is cut at a random length."""
+    out = [rng.choice((b"P5", b"P6") * 8 + (b"P7", b"P", b"", b"p5"))]
+    for _ in range(rng.choice((2, 3, 3, 3, 3, 4))):
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            sep = rng.choice(_SEPARATORS)
+            out.append(sep + rng.choice((b"\n", b"\r", b"")) if sep[:1] == b"#" else sep)
+        out.append(rng.choice(_FIELDS) if rng.random() < 0.25 else rng.choice((b"1", b"2")))
+    out.append(rng.choice((b" ", b"\n", b"\n", b"")) + rng.choice(_BODIES))
+    size, high = rng.randrange(0, 13), rng.choice((4, 16, 256))
+    out.append(bytes(rng.randrange(high) for _ in range(size)))
+    raw = b"".join(out)
+    return raw[:rng.randrange(len(raw) + 1)] if rng.random() < 0.05 else raw
+
+
+@pytest.fixture
+def pnm_from_bytes(monkeypatch):
+    """read_pnm takes the bytes of a file in place of its path."""
+    monkeypatch.setattr(warp, "open", lambda raw, mode: io.BytesIO(raw), raising=False)
+
+
+@pytest.mark.usefixtures("pnm_from_bytes")
+def test_read_pnm_matches_token_scanner_on_random_headers():
+    """100 000 seeded headers through both readers: the same image bytes, or the
+    same exception type and message."""
+    rng = random.Random(20221)
+    seen = collections.Counter()
+    for _ in range(100_000):
+        raw = random_header(rng)
+        expected = outcome(reference_read_pnm, raw)
+        assert outcome(read_pnm, raw) == expected, raw
+        seen[expected[1].split()[0] if len(expected) == 2 else "image"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 10, seen
+
+
+@pytest.mark.parametrize("raw", [
+    b"P5\n2 1\n# comment to the end",
+    b"P5 2 1 255",
+    b"P5 2 1 255 ",
+    b"P5 \0\0\0 1 255 ab",
+    b"P5#c\n2#\n1 255\nab",
+    b"P6\v1\f1\r255\tabc",
+    b"P5 2 1 # 255\n3\rab",
+    b"P5 2 1 15\n\x0f\x10",
+])
+@pytest.mark.usefixtures("pnm_from_bytes")
+def test_read_pnm_matches_token_scanner_on_edge_headers(raw):
+    assert outcome(read_pnm, raw) == outcome(reference_read_pnm, raw)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def vga_frame():
+    rng = np.random.default_rng(5)
+    return from_array(rng.integers(0, 256, size=(480, 640, 3), dtype=np.uint8))
+
+
+def test_write_pnm_copies_no_raster(tmp_path):
+    img = vga_frame()
+    path = tmp_path / "frame.ppm"
+    assert traced_peak(write_pnm, img, path) <= 64 * 1024
+    assert path.read_bytes() == b"P6\n640 480\n255\n" + img.data.tobytes()
+
+
+def test_read_pnm_holds_the_file_once(tmp_path):
+    img = vga_frame()
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(b"P6\n640 480\n255\n" + img.data.tobytes())
+    assert traced_peak(read_pnm, path) <= path.stat().st_size + 64 * 1024
+    assert np.array_equal(read_pnm(path).data, img.data)
 
 
 # --- rectification maps ------------------------------------------------------------
