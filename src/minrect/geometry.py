@@ -58,7 +58,10 @@ class Camera:
             raise InvalidCamera("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
             raise InvalidCamera("rotation determinant must be +1")
-        if int(self.width) < 2 or int(self.height) < 2:
+        size = self.width, self.height
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in size):
+            raise InvalidCamera(f"width and height must be integers, got {size!r}")
+        if size[0] < 2 or size[1] < 2:
             raise InvalidCamera("image must be at least 2x2 pixels")
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
@@ -178,15 +181,12 @@ def epipolar_line(F: np.ndarray, p, direction: str = "1->2") -> np.ndarray:
 
 def camera_from_dict(d: dict) -> Camera:
     try:
-        size = d["width"], d["height"]
-        if not all(type(v) is int for v in size):  # JSON integers; not bool, float or str
-            raise TypeError(f"width and height must be integers, got {size!r}")
         return Camera(
             A=np.array(d["A"], dtype=float),
             R=np.array(d["R"], dtype=float),
             t=np.array(d["t"], dtype=float),
-            width=size[0],
-            height=size[1],
+            width=d["width"],
+            height=d["height"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCalibration(f"bad camera record: {exc}") from exc

@@ -1,10 +1,10 @@
 """Closed-form stationary points of the distortion function.
 
 The derivative of the two-term rational metric reduces to a quartic in the
-horizon intercept; its coefficients come from eight intermediates built out
-of the M and C matrices.  The quartic is solved by the radical formula
-evaluated in complex arithmetic (the resolvent may require complex
-intermediates even for all-real roots), then Newton-polished.
+horizon intercept, with coefficients built from eight intermediates of the M
+and C matrices.  The solver trims leading coefficients that are negligible at
+the root scale of the rest, applies the radical formula of the degree left
+(in complex arithmetic) and Newton-polishes the roots; a constant has none.
 """
 from __future__ import annotations
 
@@ -67,8 +67,7 @@ def quartic_coefficients(ops: DistortionOperands) -> QuarticProblem:
     if not np.isfinite(coeffs).all():
         raise DegenerateC("quartic coefficients are not finite")
     # below cubic degree at the root scale of the trailing polynomial
-    degenerate = (max(abs(v) for v in coeffs) > 0 and _drop_leading([a, b, c, d, e])
-                  and _drop_leading([b, c, d, e]))
+    degenerate = max(abs(v) for v in coeffs) > 0 and len(_trim(list(coeffs))) < 4
     return QuarticProblem(m=(m1, m2, m3, m4, m5, m6, m7, m8),
                           coeffs=coeffs, degenerate=degenerate)
 
@@ -95,25 +94,34 @@ def _newton_polish(coeffs, z: complex) -> complex:
     return z
 
 
+def _cube_roots(*bases):
+    """The three complex cube roots of each base in turn; a zero base is skipped."""
+    for base in bases:
+        if abs(base) < 1e-300:
+            continue
+        root = base ** (1.0 / 3.0)
+        for k in range(3):
+            yield root * _OMEGA ** k
+
+
+def _quadratic_roots(c, d, e):
+    """Quadratic formula for c y^2 + d y + e in complex arithmetic."""
+    disc = cmath.sqrt(complex(d * d - 4.0 * c * e))
+    return [(-d + disc) / (2.0 * c), (-d - disc) / (2.0 * c)]
+
+
 def _quartic_candidates(a, b, c, d, e):
     """Quartic radical formula; complex intermediates throughout."""
     p = (8 * a * c - 3 * b * b) / (8 * a * a)
     q = 12 * a * e - 3 * b * d + c * c
     s = 27 * a * d * d - 72 * a * c * e + 27 * b * b * e - 9 * b * c * d + 2 * c ** 3
     shift = -b / (4 * a)
-    disc = complex(s * s - 4 * q ** 3)
-    root_disc = cmath.sqrt(disc)
+    root_disc = cmath.sqrt(complex(s * s - 4 * q ** 3))
     best_Q = 0.0 + 0.0j
-    for sgn in (1.0, -1.0):
-        base = (s + sgn * root_disc) / 2.0
-        if abs(base) < 1e-300:
-            continue
-        delta0 = base ** (1.0 / 3.0)
-        for k in range(3):
-            dk = delta0 * _OMEGA ** k
-            Q = 0.5 * cmath.sqrt(-2.0 * p / 3.0 + (dk + q / dk) / (3.0 * a))
-            if abs(Q) > abs(best_Q):
-                best_Q = Q
+    for dk in _cube_roots((s + root_disc) / 2.0, (s - root_disc) / 2.0):
+        Q = 0.5 * cmath.sqrt(-2.0 * p / 3.0 + (dk + q / dk) / (3.0 * a))
+        if abs(Q) > abs(best_Q):
+            best_Q = Q
     scale = max(abs(p), abs(shift), 1.0)
     if abs(best_Q) > 1e-10 * scale:
         Q = best_Q
@@ -126,10 +134,8 @@ def _quartic_candidates(a, b, c, d, e):
         return cands
     # Q ~ 0: depressed quartic is (near-)biquadratic; factor into quadratics.
     r0 = (256 * a ** 3 * e - 64 * a * a * b * d + 16 * a * b * b * c - 3 * b ** 4) / (256 * a ** 4)
-    inner = cmath.sqrt(complex(p * p - 4.0 * r0))
     cands = []
-    for s1 in (1.0, -1.0):
-        t2 = (-p + s1 * inner) / 2.0
+    for t2 in _quadratic_roots(1.0, p, r0):
         rt = cmath.sqrt(t2)
         cands.extend([shift + rt, shift - rt])
     return cands
@@ -141,36 +147,31 @@ def _cubic_roots(b, c, d, e):
     p = (3 * b * d - c * c) / (3 * b * b)
     q = (2 * c ** 3 - 9 * b * c * d + 27 * b * b * e) / (27 * b ** 3)
     disc = cmath.sqrt(complex(q * q / 4.0 + p ** 3 / 27.0))
-    cands = []
-    for sgn in (1.0, -1.0):
-        base = -q / 2.0 + sgn * disc
-        if abs(base) < 1e-300:
-            continue
-        u = base ** (1.0 / 3.0)
-        for k in range(3):
-            uk = u * _OMEGA ** k
-            cands.append(shift + uk - p / (3.0 * uk) if abs(uk) > 1e-300 else shift)
+    cands = [shift + uk - p / (3.0 * uk) for uk in _cube_roots(-q / 2.0 + disc, -q / 2.0 - disc)]
     if not cands:  # p == q == 0: triple root at the shift
         cands = [complex(shift)] * 3
     return cands
 
 
-def _drop_leading(poly) -> bool:
-    """Whether the leading term is negligible at the root scale of the rest.
+def _trim(poly: list) -> list:
+    """Drop the leading coefficients that are negligible at the root scale of the rest.
 
     The raw coefficients can span many orders of magnitude (the constant
-    term grows like the fourth power of the image size), so the leading
+    term grows like the fourth power of the image size), so each leading
     coefficient is compared against the next one weighted by a Cauchy-style
     bound on the remaining polynomial's root magnitudes — not against the
     largest coefficient, which would misclassify perfectly good quartics.
     """
-    lead, nxt, rest = poly[0], poly[1], poly[2:]
-    if lead == 0.0:
-        return True
-    if nxt == 0.0:
-        return False
-    bound = 1.0 + (max(abs(v) for v in rest) / abs(nxt) if rest else 0.0)
-    return abs(lead) * bound <= 1e-13 * abs(nxt)
+    while len(poly) > 1:
+        lead, nxt, rest = poly[0], poly[1], poly[2:]
+        if lead != 0.0:
+            if nxt == 0.0:
+                break
+            bound = 1.0 + (max(abs(v) for v in rest) / abs(nxt) if rest else 0.0)
+            if not abs(lead) * bound <= 1e-13 * abs(nxt):
+                break
+        poly = poly[1:]
+    return poly
 
 
 def solve_quartic(problem: QuarticProblem) -> RootSet:
@@ -180,19 +181,15 @@ def solve_quartic(problem: QuarticProblem) -> RootSet:
     if scale == 0.0:
         raise AllCoefficientsZero("all polynomial coefficients are zero")
     a, b, c, d, e = (v / scale for v in coeffs)
-    if not _drop_leading([a, b, c, d, e]):
-        cands = _quartic_candidates(a, b, c, d, e)
-        poly = [a, b, c, d, e]
-    elif not _drop_leading([b, c, d, e]):
-        cands = _cubic_roots(b, c, d, e)
-        poly = [b, c, d, e]
-    elif not _drop_leading([c, d, e]):
-        disc = cmath.sqrt(complex(d * d - 4.0 * c * e))
-        cands = [(-d + disc) / (2.0 * c), (-d - disc) / (2.0 * c)]
-        poly = [c, d, e]
-    elif not _drop_leading([d, e]):
-        cands = [complex(-e / d)]
-        poly = [d, e]
+    poly = _trim([a, b, c, d, e])
+    if len(poly) == 5:
+        cands = _quartic_candidates(*poly)
+    elif len(poly) == 4:
+        cands = _cubic_roots(*poly)
+    elif len(poly) == 3:
+        cands = _quadratic_roots(*poly)
+    elif len(poly) == 2:
+        cands = [complex(-poly[1] / poly[0])]
     else:
         # Constant within tolerance but not exactly zero: no roots.
         return RootSet(roots=(), residuals=())

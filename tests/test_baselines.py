@@ -16,7 +16,7 @@ from minrect.baselines import (
 from minrect import baselines, distortion
 from minrect.distortion import (_exclusion_half_width, distortion_of_y, operand_matrices,
                                 poles)
-from minrect.errors import EmptyDomain, MinrectError
+from minrect.errors import DegenerateOrientation, EmptyDomain, MinrectError
 from minrect.geometry import fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble
 from minrect import serialize
@@ -41,6 +41,18 @@ def test_fusiello_dominated_by_direct(rig_d):
 def test_fusiello_rectified_form(rig_d):
     base = fusiello_rectify(rig_d)
     assert rectified_residual(rig_d, base) <= 1e-7
+
+
+def test_fusiello_rejects_axis_along_baseline():
+    """Camera 1 looks along z and camera 2 sits on that axis: no rectifying plane
+    contains both the old optical axis and the baseline."""
+    from conftest import A_LEFT, make_camera
+    from minrect.geometry import StereoRig
+
+    rig = StereoRig(cam1=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0)),
+                    cam2=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 1.0)))
+    with pytest.raises(DegenerateOrientation, match="parallel to the baseline"):
+        fusiello_rectify(rig)
 
 
 def test_scan_frontoparallel_zero(frontoparallel):
@@ -254,6 +266,20 @@ def test_stress_lists_scan_gap_failures(monkeypatch):
     report = stress(5, seed=3)
     assert [f[0] for f in report.failures if f[1] == "scan-gap"] == list(range(5))
     assert report.scan_gap_max > 1e-7
+
+
+@pytest.mark.parametrize("target, stage", [("assemble", "direct"),
+                                           ("fusiello_rectify", "baseline"),
+                                           ("scan_minimize", "scan")])
+def test_stress_records_failure_stage(monkeypatch, target, stage):
+    def failing(*args, **kwargs):
+        raise MinrectError("injected")
+
+    monkeypatch.setattr(baselines, target, failing)
+    report = stress(3, seed=3)
+    assert report.failures == [(trial, stage, "injected") for trial in range(3)]
+    assert report.baseline_failures == (3 if stage == "baseline" else 0)
+    assert report.direct_successes == (0 if stage == "direct" else 3)
 
 
 def test_stress_rejects_zero_trials():

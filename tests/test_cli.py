@@ -251,6 +251,15 @@ def test_rectify_rejects_non_integer_sizes(tmp_path, rig_d, capsys, field, value
     assert not os.path.exists(out)
 
 
+def test_rectify_rejects_calibration_without_cam2(tmp_path, rig_d, capsys):
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps({"cam1": rig_to_dict(rig_d)["cam1"]}))
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", str(calib), "-o", out]) == 2
+    assert "'cam1' and 'cam2'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_dumps_formats_nonfinite_and_special_values():
     assert serialize.dumps([float("nan"), float("inf"), -float("inf")]) == '["nan", "inf", "-inf"]'
     assert serialize.dumps({"a": True, "b": False, "c": None}) == \

@@ -23,7 +23,7 @@ from minrect.distortion import (
     w_from_y,
     w_from_y_raw,
 )
-from minrect.errors import BadDimensions
+from minrect.errors import BadDimensions, DegenerateCenter, PoleAtY
 from minrect.geometry import Camera, StereoRig
 
 
@@ -222,6 +222,37 @@ def test_distortion_positive_and_blows_up_at_poles(rig_d):
             y = pole + side
             if is_admissible(ops, y):
                 assert distortion_of_y(ops, y) > 1e6 * max(best, 1e-30)
+
+
+def test_distortion_of_y_raises_at_a_pole(rig_d):
+    ops = operand_matrices(rig_d)
+    for pole in poles(ops):
+        with pytest.raises(PoleAtY):
+            distortion_of_y(ops, pole)
+
+
+def test_w_from_y_raises_where_the_row_cannot_be_rescaled(rig_d):
+    """At y1 = -L1[2,2] / L1[2,1] the third component of w1 vanishes."""
+    ops = operand_matrices(rig_d)
+    with pytest.raises(PoleAtY):
+        w_from_y(ops, -ops.L1[2, 2] / ops.L1[2, 1])
+
+
+# (1, 0, -319.5) is orthogonal to the average pixel (319.5, 239.5, 1) of 640x480.
+W_THROUGH_CENTER = np.array([1.0, 0.0, -319.5])
+
+
+def test_distortion_of_w_rejects_row_through_the_average_pixel():
+    m = moment_matrices(640, 480)
+    with pytest.raises(DegenerateCenter):
+        distortion_of_w(W_THROUGH_CENTER, [0.0, 0.0, 1.0], m, m)
+
+
+def test_pixel_sum_distortion_rejects_tiny_image_and_row_through_center():
+    with pytest.raises(BadDimensions):
+        pixel_sum_distortion([0.0, 0.0, 1.0], 1, 480)
+    with pytest.raises(DegenerateCenter):
+        pixel_sum_distortion(W_THROUGH_CENTER, 640, 480)
 
 
 def test_admissibility_excludes_poles(rig_d):

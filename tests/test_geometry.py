@@ -186,6 +186,36 @@ def test_camera_rejects_invalid_parameters(field, value, message):
         Camera(**params)
 
 
+@pytest.mark.parametrize("field, value", [("width", 640.7), ("height", "480"),
+                                          ("width", True), ("width", 640.0)])
+def test_camera_rejects_non_integer_sizes(field, value):
+    """Sizes are neither rounded nor parsed, and a bool is not a size."""
+    params = dict(A=A_LEFT, R=np.eye(3), t=np.zeros(3), width=640, height=480)
+    params[field] = value
+    with pytest.raises(InvalidCamera, match="must be integers"):
+        Camera(**params)
+
+
+def test_camera_stores_numpy_integer_sizes_as_int():
+    cam = Camera(A=A_LEFT, R=np.eye(3), t=np.zeros(3), width=np.int64(640), height=480)
+    assert type(cam.width) is int and cam.width == 640
+
+
+def test_calibration_rejects_missing_camera(tmp_path, rig_d):
+    import json
+
+    path = tmp_path / "calib.json"
+    path.write_text(json.dumps({"cam1": rig_to_dict(rig_d)["cam1"]}))
+    with pytest.raises(InvalidCalibration, match="'cam1' and 'cam2'"):
+        load_calibration(path)
+
+
+def test_normalize_matrix_of_zeros_is_zeros():
+    zeros = np.zeros((3, 3))
+    out = normalize_matrix(zeros)
+    assert np.array_equal(out, zeros) and out is not zeros
+
+
 def test_epipolar_line_of_second_epipole_is_zero(rig_d):
     F = fundamental_matrix(rig_d)
     _, e2 = epipoles(rig_d)

@@ -1,4 +1,5 @@
 """Quartic coefficients, closed-form root solving, minimum selection."""
+import cmath
 import warnings
 
 import numpy as np
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 from minrect.distortion import distortion_of_y, is_admissible, operand_matrices
 from minrect.errors import AllCoefficientsZero, NoAdmissibleRoot, PipelineError
 from minrect.quartic import (
+    _OMEGA,
+    DEDUP_REL,
+    REAL_IM_REL,
+    RESIDUAL_REL,
     RootSet,
     QuarticProblem,
+    _newton_polish,
+    _poly_eval,
     quartic_coefficients,
     select_minimum,
     solve_quartic,
@@ -294,3 +301,219 @@ def test_rig_without_real_stationary_point_fails_by_name_or_hits_scan():
             return
         assert np.isfinite(pair.distortion)
         assert scan_gap(NO_REAL_ROOT_RIG, pair) <= 1e-9
+
+
+# --- the root path against the four-level degree chain it replaced ------------
+# _drop_leading, _quartic_candidates, _cubic_roots and reference_solve are the
+# solver before the degree decision, the cube-root step and the quadratic
+# formula each got one implementation; solve_quartic must match them bit for bit.
+
+def _drop_leading(poly) -> bool:
+    """Whether the leading term is negligible at the root scale of the rest.
+
+    The raw coefficients can span many orders of magnitude (the constant
+    term grows like the fourth power of the image size), so the leading
+    coefficient is compared against the next one weighted by a Cauchy-style
+    bound on the remaining polynomial's root magnitudes — not against the
+    largest coefficient, which would misclassify perfectly good quartics.
+    """
+    lead, nxt, rest = poly[0], poly[1], poly[2:]
+    if lead == 0.0:
+        return True
+    if nxt == 0.0:
+        return False
+    bound = 1.0 + (max(abs(v) for v in rest) / abs(nxt) if rest else 0.0)
+    return abs(lead) * bound <= 1e-13 * abs(nxt)
+
+
+def _quartic_candidates(a, b, c, d, e):
+    """Quartic radical formula; complex intermediates throughout."""
+    p = (8 * a * c - 3 * b * b) / (8 * a * a)
+    q = 12 * a * e - 3 * b * d + c * c
+    s = 27 * a * d * d - 72 * a * c * e + 27 * b * b * e - 9 * b * c * d + 2 * c ** 3
+    shift = -b / (4 * a)
+    disc = complex(s * s - 4 * q ** 3)
+    root_disc = cmath.sqrt(disc)
+    best_Q = 0.0 + 0.0j
+    for sgn in (1.0, -1.0):
+        base = (s + sgn * root_disc) / 2.0
+        if abs(base) < 1e-300:
+            continue
+        delta0 = base ** (1.0 / 3.0)
+        for k in range(3):
+            dk = delta0 * _OMEGA ** k
+            Q = 0.5 * cmath.sqrt(-2.0 * p / 3.0 + (dk + q / dk) / (3.0 * a))
+            if abs(Q) > abs(best_Q):
+                best_Q = Q
+    scale = max(abs(p), abs(shift), 1.0)
+    if abs(best_Q) > 1e-10 * scale:
+        Q = best_Q
+        S = (8 * a * a * d - 4 * a * b * c + b ** 3) / (8 * a ** 3)
+        cands = []
+        for s1 in (1.0, -1.0):
+            inner = cmath.sqrt(-4.0 * Q * Q - 2.0 * p - s1 * S / Q)
+            for s2 in (1.0, -1.0):
+                cands.append(shift + s1 * Q + s2 * 0.5 * inner)
+        return cands
+    # Q ~ 0: depressed quartic is (near-)biquadratic; factor into quadratics.
+    r0 = (256 * a ** 3 * e - 64 * a * a * b * d + 16 * a * b * b * c - 3 * b ** 4) / (256 * a ** 4)
+    inner = cmath.sqrt(complex(p * p - 4.0 * r0))
+    cands = []
+    for s1 in (1.0, -1.0):
+        t2 = (-p + s1 * inner) / 2.0
+        rt = cmath.sqrt(t2)
+        cands.extend([shift + rt, shift - rt])
+    return cands
+
+
+def _cubic_roots(b, c, d, e):
+    """Cardano in complex arithmetic for b y^3 + c y^2 + d y + e."""
+    shift = -c / (3 * b)
+    p = (3 * b * d - c * c) / (3 * b * b)
+    q = (2 * c ** 3 - 9 * b * c * d + 27 * b * b * e) / (27 * b ** 3)
+    disc = cmath.sqrt(complex(q * q / 4.0 + p ** 3 / 27.0))
+    cands = []
+    for sgn in (1.0, -1.0):
+        base = -q / 2.0 + sgn * disc
+        if abs(base) < 1e-300:
+            continue
+        u = base ** (1.0 / 3.0)
+        for k in range(3):
+            uk = u * _OMEGA ** k
+            cands.append(shift + uk - p / (3.0 * uk) if abs(uk) > 1e-300 else shift)
+    if not cands:  # p == q == 0: triple root at the shift
+        cands = [complex(shift)] * 3
+    return cands
+
+
+def reference_solve(problem: QuarticProblem) -> RootSet:
+    """Real roots of the (possibly degenerate-degree) quartic."""
+    coeffs = problem.coeffs
+    scale = max(abs(v) for v in coeffs)
+    if scale == 0.0:
+        raise AllCoefficientsZero("all polynomial coefficients are zero")
+    a, b, c, d, e = (v / scale for v in coeffs)
+    if not _drop_leading([a, b, c, d, e]):
+        cands = _quartic_candidates(a, b, c, d, e)
+        poly = [a, b, c, d, e]
+    elif not _drop_leading([b, c, d, e]):
+        cands = _cubic_roots(b, c, d, e)
+        poly = [b, c, d, e]
+    elif not _drop_leading([c, d, e]):
+        disc = cmath.sqrt(complex(d * d - 4.0 * c * e))
+        cands = [(-d + disc) / (2.0 * c), (-d - disc) / (2.0 * c)]
+        poly = [c, d, e]
+    elif not _drop_leading([d, e]):
+        cands = [complex(-e / d)]
+        poly = [d, e]
+    else:
+        # Constant within tolerance but not exactly zero: no roots.
+        return RootSet(roots=(), residuals=())
+
+    reals = []
+    for z in cands:
+        z = _newton_polish(poly, complex(z))
+        if abs(z.imag) <= REAL_IM_REL * (1.0 + abs(z.real)):
+            reals.append(float(z.real))
+    reals.sort()
+    accepted = []
+    residuals = []
+    for r in reals:
+        if accepted and abs(r - accepted[-1]) <= DEDUP_REL * (1.0 + abs(r)):
+            continue
+        res = abs(_poly_eval(poly, r))
+        bound = RESIDUAL_REL * max(
+            abs(a) * r ** 4, abs(b) * abs(r) ** 3, abs(c) * r * r, abs(d) * abs(r), abs(e), 1.0
+        )
+        if res <= bound:
+            accepted.append(r)
+            residuals.append(res * scale)
+    return RootSet(roots=tuple(accepted), residuals=tuple(residuals))
+
+
+def reference_degenerate(coeffs) -> bool:
+    """QuarticProblem.degenerate as the four-level chain decided it."""
+    a, b, c, d, e = coeffs
+    return bool(max(abs(v) for v in coeffs) > 0 and _drop_leading([a, b, c, d, e])
+                and _drop_leading([b, c, d, e]))
+
+
+def root_bits(roots: RootSet) -> tuple:
+    return (np.array(roots.roots, dtype=float).tobytes(),
+            np.array(roots.residuals, dtype=float).tobytes())
+
+
+def spread_vectors(rng, count: int) -> np.ndarray:
+    """Coefficient vectors with random signs and magnitudes from 1e-8 to 1e8."""
+    return rng.choice((-1.0, 1.0), (count, 5)) * 10.0 ** rng.uniform(-8.0, 8.0, (count, 5))
+
+
+def integer_root_poly(rng, degree: int) -> np.ndarray:
+    """A nonzero integer times the monic polynomial of `degree` roots in -4..4."""
+    return (rng.integers(-9, 10) or 1) * np.poly(rng.integers(-4, 5, degree))
+
+
+def equivalence_vectors(rng, per_family: int):
+    """Seeded coefficient vectors (a, b, c, d, e) in four families; entries
+    alternate between numpy and Python floats, the two types callers pass."""
+    general = spread_vectors(rng, per_family)
+    trimmed = spread_vectors(rng, per_family)
+    for row, lead in zip(trimmed, rng.integers(1, 5, per_family)):
+        row[:lead] *= rng.choice((0.0, 1e-16), size=lead)
+    quartics = [integer_root_poly(rng, 4) for _ in range(per_family)]
+    cubics = [np.concatenate([[0.0], integer_root_poly(rng, 3)]) for _ in range(per_family)]
+    for i, v in enumerate(np.concatenate([general, trimmed, quartics, cubics])):
+        yield tuple(v) if i % 2 else tuple(float(c) for c in v)
+
+
+def test_solver_matches_reference_bit_for_bit():
+    """10^5 seeded vectors: general ones over 16 decades, ones whose 1-4 leading
+    coefficients are zero or 1e-16 of their size, integer-root quartics with
+    multiple roots and integer-root cubics."""
+    rng = np.random.default_rng(954)
+    count = 0
+    for coeffs in equivalence_vectors(rng, per_family=25_000):
+        problem = QuarticProblem(m=(0.0,) * 8, coeffs=coeffs, degenerate=False)
+        assert root_bits(solve_quartic(problem)) == root_bits(reference_solve(problem)), coeffs
+        count += 1
+    assert count == 100_000
+
+
+def cancelling_ops(rng):
+    """A rational metric whose stationarity polynomial loses its y^4 term
+    exactly and its y^3 term exactly or up to a relative 1e-16..1e-12 change
+    in one operand; all other operand entries are small integers or dyadic."""
+    beta = rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+    m1, m2, y11 = rng.integers(-5, 6, 3).astype(float)
+    y12 = y11 * beta + m2
+    y22 = (y12 * beta + m1 + 3 * m2 * beta) * (1.0 + rng.choice((0.0, 1e-16, 1e-14, 1e-12)))
+    return rational_ops((rng.integers(-5, 6), -2.0 * m2, -m1), (1.0, 0.0, rng.integers(1, 6)),
+                        (y11, 2.0 * y12, y22), (1.0, 2.0 * beta, rng.integers(1, 6)))
+
+
+def test_degenerate_matches_reference_formula():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(2_000):
+        problem = quartic_coefficients(cancelling_ops(rng))
+        assert problem.degenerate == reference_degenerate(problem.coeffs), problem.coeffs
+        seen.add(bool(problem.degenerate))
+    assert seen == {False, True}
+
+
+def test_triple_root_cubic_takes_the_shift():
+    """(y - 1)^3: both Cardano bases vanish (p = q = 0)."""
+    problem = as_problem((0.0, 1.0, -3.0, 3.0, -1.0))
+    assert solve_quartic(problem).roots == (1.0,)
+    assert root_bits(solve_quartic(problem)) == root_bits(reference_solve(problem))
+
+
+def test_constant_within_tolerance_has_no_roots():
+    assert solve_quartic(as_problem((0.0, 0.0, 0.0, 1e-14, 1.0))) == RootSet(roots=(), residuals=())
+
+
+def test_degree_trim_drops_a_lead_exactly_at_the_bound():
+    """A leading coefficient equal to 1e-13 of the next one times the root
+    bound is negligible: the polynomial drops to the next degree."""
+    assert solve_quartic(as_problem((0.0, 0.0, 0.0, 1e-13, 1.0))).roots == ()
+    assert solve_quartic(as_problem((1e-13, 1.0, 0.0, 0.0, 0.0))).roots == (0.0,)

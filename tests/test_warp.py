@@ -111,6 +111,11 @@ def test_image_buffer_validates_shape():
                     data=np.zeros((3, 3), dtype=np.uint8))
 
 
+def test_image_buffer_rejects_two_channels():
+    with pytest.raises(ValueError, match="channels must be 1 or 3"):
+        ImageBuffer(width=2, height=2, channels=2, data=np.zeros((2, 2, 2), dtype=np.uint8))
+
+
 def test_pnm_rescales_small_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5 2 1 15\n" + bytes([15, 0]))
