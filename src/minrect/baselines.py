@@ -23,7 +23,7 @@ from .distortion import (
     moment_matrices,
     operand_matrices,
 )
-from .errors import DegenerateOrientation, EmptyDomain, MinrectError
+from .errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
 from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rot_x
 from .rectify import CommonOrientation, RectifiedPair, assemble, complete_homographies
 
@@ -60,7 +60,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     The grid is evaluated one block at a time, keeping the first sample of
     least finite value, so memory beyond the grid itself stays fixed."""
     if samples < 1001:
-        raise ValueError("samples must be at least 1001")
+        raise InvalidArgument("samples must be at least 1001")
     ys = np.linspace(y_lo, y_hi, samples)
     i, best = -1, np.inf
     for start in range(0, samples, _BLOCK):
@@ -105,8 +105,8 @@ def degenerate_rig(a: float, theta_x: float) -> StereoRig:
     On this family the second epipole sits at infinity and initial-guess
     methods relying on positive-definite forms break down.
     """
-    if abs(theta_x) >= math.pi / 2:
-        raise ValueError("theta_x must be inside (-pi/2, pi/2)")
+    if not abs(theta_x) < math.pi / 2:
+        raise InvalidArgument(f"theta_x must be inside (-pi/2, pi/2), got {theta_x!r}")
     A, (w, h) = DEFAULT_INTRINSICS, DEFAULT_SIZE
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=w, height=h)
     o2 = np.array([1.0, a, a * math.tan(theta_x)])
@@ -200,8 +200,8 @@ class StressReport:
 def stress(trials: int, seed: int) -> StressReport:
     """Run direct, baseline, scan oracle and PD probe on random rigs; a closed
     form above the scan by more than ``SCAN_GAP_LIMIT`` is a "scan-gap" failure."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 1 or seed < 0:
+        raise InvalidArgument(f"trials must be >= 1 and seed >= 0, got {trials} and {seed}")
     rng = np.random.default_rng(seed)
     report = StressReport(trials=trials, seed=seed)
     ratios, gaps = [], []

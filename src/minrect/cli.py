@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 input/parse error, 3 pipeline error, 4 I/O error.
+Exit codes: 0 success, 2 ``InputError``, 3 any other ``MinrectError``, 4 ``OSError``.
 """
 from __future__ import annotations
 
@@ -13,21 +13,11 @@ import numpy as np
 
 from . import baselines, serialize, synth
 from .distortion import distortion_of_w, distortion_of_y, operand_matrices
-from .errors import (
-    InvalidCalibration,
-    InvalidCamera,
-    InvalidRig,
-    MalformedHeader,
-    MinrectError,
-    UnsupportedMaxval,
-)
+from .errors import InputError, InvalidCalibration, MinrectError, SingularHomography
 from .geometry import load_calibration, load_json, rig_to_dict
 from .quartic import quartic_coefficients, solve_quartic
 from .rectify import assemble
 from .warp import read_pnm, warp_image, write_pnm
-
-_PARSE_ERRORS = (InvalidCalibration, InvalidCamera, InvalidRig, MalformedHeader,
-                 UnsupportedMaxval)
 
 
 def _format_distortion(value: float) -> str:
@@ -64,18 +54,9 @@ def _homography(data: dict, key: str) -> np.ndarray:
     return H
 
 
-def _canvas_size(size) -> tuple[int, int]:
-    """(width, height) of a warp output; both must be positive integers."""
-    if (not isinstance(size, (list, tuple)) or len(size) != 2
-            or not all(type(v) is int and v > 0 for v in size)):
-        raise InvalidCalibration(f"output size {size!r} is not two positive integers "
-                                 "(--width and --height go together)")
-    return size[0], size[1]
-
-
 def _extract_w(H: np.ndarray) -> np.ndarray:
     if abs(H[2, 2]) <= 1e-15 * np.abs(H).max():
-        raise MinrectError("homography cannot be normalised: last element is zero")
+        raise SingularHomography("homography cannot be normalised: last element is zero")
     return H[2, :] / H[2, 2]
 
 
@@ -99,7 +80,9 @@ def _cmd_warp(args) -> int:
     size = (args.width, args.height)
     if size == (None, None):
         size = data.get("output_size", (img.width, img.height))
-    write_pnm(warp_image(img, H, *_canvas_size(size)), args.output)
+    if not isinstance(size, (list, tuple)) or len(size) != 2:
+        raise InvalidCalibration(f"output size {size!r} is not a (width, height) pair")
+    write_pnm(warp_image(img, H, *size), args.output)
     return 0
 
 
@@ -111,8 +94,8 @@ def _cmd_stress(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    os.makedirs(args.output, exist_ok=True)
     rig = synth.synth_rig(args.seed)
+    os.makedirs(args.output, exist_ok=True)
     serialize.write_json(os.path.join(args.output, "calib.json"), rig_to_dict(rig))
     write_pnm(synth.render_view(rig.cam1), os.path.join(args.output, "left.ppm"))
     write_pnm(synth.render_view(rig.cam2), os.path.join(args.output, "right.ppm"))
@@ -192,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _PARSE_ERRORS as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MinrectError as exc:

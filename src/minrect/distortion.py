@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, DegenerateCenter, PoleAtY
+from .errors import BadDimensions, DegenerateCenter, InvalidArgument, PoleAtY
 from .geometry import StereoRig, read_only
 
 POLE_HALF_WIDTH = 1e-9  # relative half-width of the exclusion zone around poles
@@ -80,12 +80,13 @@ def w_from_y_raw(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.nda
 
 
 def w_from_y(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Perspective rows for a horizon intercept, rescaled to third component 1."""
+    """Perspective rows for a horizon intercept, rescaled to third component 1;
+    ``PoleAtY`` where a row's third component is 0, which is not a pole of the metric."""
     w1, w2 = w_from_y_raw(ops, y1)
     out = []
     for w in (w1, w2):
         if abs(w[2]) <= 1e-12 * (1.0 + np.linalg.norm(w)):
-            raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
+            raise PoleAtY(f"y1={y1!r}: a row cannot be rescaled to third component 1")
         out.append(w / w[2])
     return out[0], out[1]
 
@@ -169,7 +170,9 @@ def _metric_of_y(terms, y: float):
 
 
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
-    """The metric as a function of the horizon intercept on image 1."""
+    """The metric as a function of the horizon intercept on image 1, a finite y1."""
+    if not math.isfinite(y1):
+        raise InvalidArgument(f"y1 must be finite, got {y1!r}")
     total = _metric_of_y(_rational_terms(ops), float(y1))
     if total is None:
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")

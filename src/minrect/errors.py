@@ -1,15 +1,24 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package; the class sets the CLI exit code:
+an ``InputError`` exits 2, any other ``MinrectError`` 3, and an ``OSError`` 4."""
 
 
 class MinrectError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidCamera(MinrectError):
+class InputError(MinrectError):
+    """Input from outside the program is refused (CLI exit 2)."""
+
+
+class InvalidArgument(InputError, ValueError):
+    """An argument lies outside its documented range."""
+
+
+class InvalidCamera(InputError):
     """Camera parameters violate an invariant (intrinsics shape, rotation, size)."""
 
 
-class InvalidRig(MinrectError):
+class InvalidRig(InputError):
     """Stereo rig is ill-formed, e.g. coincident optical centers."""
 
 
@@ -22,7 +31,7 @@ class BadDimensions(MinrectError):
 
 
 class PoleAtY(MinrectError):
-    """Requested y-intercept sits at a pole of the distortion function."""
+    """y-intercept at a pole of the metric, or where a perspective row has third component 0."""
 
 
 class DegenerateCenter(MinrectError):
@@ -61,15 +70,15 @@ class EmptyDomain(MinrectError):
     """Every scan sample is pole-excluded."""
 
 
-class MalformedHeader(MinrectError):
+class MalformedHeader(InputError):
     """PNM header does not parse."""
 
 
-class InvalidCalibration(MinrectError):
+class InvalidCalibration(InputError):
     """An input file (calibration, homographies) or output size fails validation."""
 
 
-class UnsupportedMaxval(MinrectError):
+class UnsupportedMaxval(InputError):
     """PNM maxval outside the supported 8-bit range."""
 
 

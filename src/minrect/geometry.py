@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCalibration, InvalidCamera, InvalidRig, SingularProjection
+from .errors import (InvalidArgument, InvalidCalibration, InvalidCamera, InvalidRig,
+                     SingularProjection)
 
 COND_LIMIT = 1e12
 _ORTHO_TOL = 1e-9
@@ -176,7 +177,7 @@ def epipolar_line(F: np.ndarray, p, direction: str = "1->2") -> np.ndarray:
         return F @ p
     if direction == "2->1":
         return F.T @ p
-    raise ValueError(f"unknown direction {direction!r}")
+    raise InvalidArgument(f"unknown direction {direction!r}")
 
 
 def camera_from_dict(d: dict) -> Camera:

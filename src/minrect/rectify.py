@@ -155,13 +155,8 @@ def complete_homographies(rig: StereoRig, orientation: CommonOrientation,
     fit1, fit2, out_size = _stage(
         "fit", joint_fit, pres[0], pres[1],
         (rig.cam1.width, rig.cam1.height), (rig.cam2.width, rig.cam2.height))
-    Hs = []
-    ws = []
-    for fit, pre in ((fit1, pres[0]), (fit2, pres[1])):
-        H = fit @ pre
-        H = read_only(H / H[2, 2])
-        Hs.append(H)
-        ws.append((H[2, 0], H[2, 1]))
+    Hs = [read_only(H / H[2, 2]) for H in (fit1 @ pres[0], fit2 @ pres[1])]
+    ws = [(H[2, 0], H[2, 1]) for H in Hs]
     return RectifiedPair(
         H1=Hs[0], H2=Hs[1], w1=ws[0], w2=ws[1],
         shear1=shears[0], shear2=shears[1],

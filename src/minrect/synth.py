@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .geometry import Camera, StereoRig, is_in_front, project, rot_x, rot_y
 from .warp import ImageBuffer, from_array, source_coords
 
@@ -19,7 +20,9 @@ CHECKER_SIZE = 0.5
 
 
 def synth_rig(seed: int) -> StereoRig:
-    """A mildly verging rig with pose jitter drawn from the seed."""
+    """A mildly verging rig with pose jitter drawn from the seed (>= 0)."""
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     A = np.array([[600.0, 0.0, 320.0], [0.0, 600.0, 240.0], [0.0, 0.0, 1.0]])
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=640, height=480)

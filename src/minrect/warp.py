@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidCalibration, MalformedHeader, SingularHomography, UnsupportedMaxval
+from .errors import (InvalidArgument, InvalidCalibration, MalformedHeader, SingularHomography,
+                     UnsupportedMaxval)
 from .geometry import read_only
 
 
@@ -22,10 +23,10 @@ class ImageBuffer:
 
     def __post_init__(self):
         if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
+            raise InvalidArgument("channels must be 1 or 3")
         arr = np.ascontiguousarray(self.data, dtype=np.uint8)
         if arr.shape != (self.height, self.width, self.channels):
-            raise ValueError("data shape does not match declared dimensions")
+            raise InvalidArgument("data shape does not match declared dimensions")
         object.__setattr__(self, "data", read_only(arr))
 
 
@@ -79,6 +80,15 @@ def _join(parts: list) -> np.ndarray:
     return read_only(out)
 
 
+def _check_canvas(out_w, out_h) -> None:
+    """Refuse sizes that are not positive integers or exceed ``MAX_OUTPUT_PIXELS`` in all."""
+    if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+                for v in (out_w, out_h))
+            or int(out_w) * int(out_h) > MAX_OUTPUT_PIXELS):
+        raise InvalidCalibration(f"output size {out_w!r}x{out_h!r} is not two positive "
+                                 f"integers of at most {MAX_OUTPUT_PIXELS} pixels")
+
+
 @dataclass(frozen=True)
 class RectifyMap:
     """The bilinear gather of one homography between fixed source and output sizes.
@@ -100,13 +110,8 @@ class RectifyMap:
     @classmethod
     def build(cls, H: np.ndarray, src_w: int, src_h: int, out_w: int, out_h: int) -> RectifyMap:
         """Inverse-map every output pixel through H^-1, ``_BLOCK_PIXELS`` at a time, so
-        that beyond the map itself the temporaries stay bounded; raise before allocating
-        anything for a canvas that is not positive or exceeds ``MAX_OUTPUT_PIXELS``."""
-        if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-                    for v in (out_w, out_h))
-                or int(out_w) * int(out_h) > MAX_OUTPUT_PIXELS):
-            raise InvalidCalibration(f"output size {out_w}x{out_h} is not positive "
-                                     f"or exceeds {MAX_OUTPUT_PIXELS} pixels")
+        that beyond the map itself the temporaries stay bounded; see ``_check_canvas``."""
+        _check_canvas(out_w, out_h)
         H = np.asarray(H, dtype=float)
         try:
             if np.linalg.cond(H) > 1e14:
@@ -127,7 +132,7 @@ class RectifyMap:
     def apply(self, img: ImageBuffer) -> ImageBuffer:
         """Bilinear samples of ``img`` at the valid pixels, black elsewhere."""
         if (img.width, img.height) != (self.src_w, self.src_h):
-            raise ValueError("image size does not match the map")
+            raise InvalidArgument("image size does not match the map")
         c = img.channels
         # channel-major planes, so every gather and product runs along the pixels
         planes = np.ascontiguousarray(np.moveaxis(img.data, 2, 0)).reshape(c, -1)
@@ -143,9 +148,8 @@ class RectifyMap:
                            data=np.moveaxis(out.reshape(c, self.out_h, self.out_w), 0, 2))
 
 
-# One stereo pair. Keyed on the bytes of H, so a matrix changed in place gets a
-# new map; typed, so a size that is not an int never hits a map built for one.
-@lru_cache(maxsize=2, typed=True)
+# One stereo pair. Keyed on the bytes of H, so a matrix changed in place gets a new map.
+@lru_cache(maxsize=2)
 def _cached_map(H_bytes: bytes, src_w: int, src_h: int, out_w: int, out_h: int) -> RectifyMap:
     H = np.frombuffer(H_bytes, dtype=np.float64).reshape(3, 3)
     return RectifyMap.build(H, src_w, src_h, out_w, out_h)
@@ -157,6 +161,7 @@ def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> Image
     Out-of-bounds source positions produce black.  The map is built once per
     (H, image size, output size) and reused while it is one of the last two.
     """
+    _check_canvas(out_w, out_h)  # before the cache, which cannot hash a list
     H = np.ascontiguousarray(H, dtype=np.float64)
     return _cached_map(H.tobytes(), img.width, img.height, out_w, out_h).apply(img)
 

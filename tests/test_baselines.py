@@ -282,6 +282,18 @@ def test_stress_records_failure_stage(monkeypatch, target, stage):
     assert report.direct_successes == (0 if stage == "direct" else 3)
 
 
+def test_cholesky_probe_rejects_a_zero_leading_pivot():
+    assert not baselines._cholesky_ok(np.diag([0.0, 1.0]))
+
+
+def test_stress_counts_pd_probe_failures(monkeypatch):
+    monkeypatch.setattr(baselines, "pd_probe", lambda rig: False)
+    report = stress(3, seed=3)
+    assert report.direct_successes == 3
+    assert report.pd_failures == 3
+    assert report.to_dict()["pd_failure_fraction"] == 1.0
+
+
 def test_stress_rejects_zero_trials():
     with pytest.raises(ValueError):
         stress(0, seed=1)

@@ -260,6 +260,48 @@ def test_rectify_rejects_calibration_without_cam2(tmp_path, rig_d, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["stress", "--trials", "0"],
+    ["stress", "--seed", "-1"],
+    ["synth", "--seed", "-1"],
+    ["degenerate", "--a", "0.3", "--theta", "2"],
+    ["evaluate", "--y1", "nan"],
+    ["evaluate", "--y1", "inf"],
+])
+def test_out_of_range_arguments_exit_2_and_write_nothing(tmp_path, rig_d_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "evaluate":
+        argv = ["evaluate", rig_d_path, *argv[1:]]
+    else:
+        argv = [*argv, "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_rectify_rejects_camera_record_without_intrinsics(tmp_path, rig_d, capsys):
+    data = rig_to_dict(rig_d)
+    del data["cam1"]["A"]
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps(data))
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", str(calib), "-o", out]) == 2
+    assert "bad camera record" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("size", [[[5], [4]], [5, 4, 1], "54", 5, [5.0, 4], None])
+def test_warp_rejects_output_size_that_is_not_two_positive_integers(warp_inputs, tmp_path,
+                                                                    size):
+    src, _, out = warp_inputs
+    hpath = tmp_path / "sized.json"
+    hpath.write_text(json.dumps({"H1": np.eye(3).tolist(), "output_size": size}))
+    assert main(["warp", src, str(hpath), "-o", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_dumps_formats_nonfinite_and_special_values():
     assert serialize.dumps([float("nan"), float("inf"), -float("inf")]) == '["nan", "inf", "-inf"]'
     assert serialize.dumps({"a": True, "b": False, "c": None}) == \

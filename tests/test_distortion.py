@@ -238,6 +238,26 @@ def test_w_from_y_raises_where_the_row_cannot_be_rescaled(rig_d):
         w_from_y(ops, -ops.L1[2, 2] / ops.L1[2, 1])
 
 
+def test_w_from_y_rescales_the_rows_at_the_poles_of_the_metric(rig_d):
+    """The metric's poles are where a row is orthogonal to the average pixel, not where
+    its third component is 0: there the rows still rescale, while the metric is undefined."""
+    ops = operand_matrices(rig_d)
+    for pole in poles(ops):
+        w1, w2 = w_from_y(ops, pole)
+        assert w1[2] == 1.0 and w2[2] == 1.0
+        assert np.isfinite(w1).all() and np.isfinite(w2).all()
+        with pytest.raises(PoleAtY, match="pole of the distortion function"):
+            distortion_of_y(ops, pole)
+
+
+def test_w_from_y_names_the_row_that_cannot_be_rescaled(rig_d):
+    ops = operand_matrices(rig_d)
+    y = -ops.L1[2, 2] / ops.L1[2, 1]
+    assert math.isfinite(distortion_of_y(ops, y))
+    with pytest.raises(PoleAtY, match="cannot be rescaled to third component 1"):
+        w_from_y(ops, y)
+
+
 # (1, 0, -319.5) is orthogonal to the average pixel (319.5, 239.5, 1) of 640x480.
 W_THROUGH_CENTER = np.array([1.0, 0.0, -319.5])
 

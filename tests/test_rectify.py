@@ -1,4 +1,6 @@
 """Homography assembly: orientation, shear, joint fitting, end-to-end checks."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,15 @@ def test_orientation_rejects_baseline_along_horizon_ray():
                     cam2=make_camera(A_LEFT, np.eye(3), ray / np.linalg.norm(ray)))
     with pytest.raises(DegenerateZ):
         new_orientation(rig, y)
+
+
+def test_shear_rejects_collapsed_midlines():
+    """Every point goes to y = x, so the vertical midline collapses to a point."""
+    H = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CollapsedMidlines, match="midlines collapse"):
+            shear_similarity(H, 640, 480)
 
 
 def test_shear_rejects_midpoint_at_infinity():

@@ -10,8 +10,9 @@ import pytest
 from minrect import warp
 from minrect.errors import (InvalidCalibration, MalformedHeader, SingularHomography,
                             UnsupportedMaxval)
+from minrect.geometry import Camera, StereoRig, optical_center
 from minrect.rectify import assemble
-from minrect.synth import render_view, synth_rig
+from minrect.synth import correspondences, render_view, synth_rig
 from minrect.warp import (MAX_OUTPUT_PIXELS, ImageBuffer, RectifyMap, from_array, read_pnm,
                           source_coords, warp_image, write_pnm)
 
@@ -41,6 +42,29 @@ def test_warp_rejects_singular():
     img = gradient_image()
     with pytest.raises(SingularHomography):
         warp_image(img, np.zeros((3, 3)), 10, 10)
+
+
+def test_warp_rejects_all_nan_homography():
+    with pytest.raises(SingularHomography, match="SVD did not converge"):
+        warp_image(gradient_image(), np.full((3, 3), np.nan), 10, 10)
+
+
+@pytest.mark.parametrize("size", [([5], 4), (5, [4]), (5.0, 4), (True, 4), (5, None)])
+def test_warp_rejects_sizes_that_are_not_integers_before_the_cache(size):
+    with pytest.raises(InvalidCalibration):
+        warp_image(gradient_image(), np.eye(3), *size)
+
+
+def test_synth_correspondences_skip_markers_behind_a_camera():
+    """The second camera turned half a turn about its own y axis, in place, faces away
+    from the plane, so every marker is behind it."""
+    rig = synth_rig(0)
+    turn = np.diag([-1.0, 1.0, -1.0])
+    cam2 = rig.cam2
+    away = Camera(A=cam2.A, R=turn @ cam2.R, t=turn @ cam2.t, width=cam2.width,
+                  height=cam2.height)
+    assert np.allclose(optical_center(away), optical_center(cam2))
+    assert correspondences(StereoRig(rig.cam1, away)).size == 0
 
 
 def test_warp_round_trip_interior():
