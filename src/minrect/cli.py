@@ -112,9 +112,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_degenerate(args) -> int:
     rig = baselines.degenerate_rig(args.a, args.theta)
+    pair = assemble(rig)  # before anything is written, so a pipeline error leaves no directory
     os.makedirs(args.output, exist_ok=True)
     serialize.write_json(os.path.join(args.output, "calib.json"), rig_to_dict(rig))
-    pair = assemble(rig)
     serialize.write_json(os.path.join(args.output, "rectify.json"),
                          serialize.rectified_pair_to_dict(pair))
     print(f"pd_probe {baselines.pd_probe(rig)}")

@@ -51,7 +51,7 @@ def source_coords(Hinv: np.ndarray, width: int, height: int, first_row: int = 0)
 
 
 MAX_OUTPUT_PIXELS = 1 << 26  # 8192 x 8192: the largest canvas a map is built for
-_BLOCK_PIXELS = 1 << 15  # output pixels per block of rows in RectifyMap.build
+_BLOCK_PIXELS = 1 << 15  # output pixels per block in RectifyMap.build and apply
 
 
 def _gather_rows(Hinv: np.ndarray, src_w: int, src_h: int, out_w: int, r0: int,
@@ -130,7 +130,12 @@ class RectifyMap:
         return cls(src_w, src_h, out_w, out_h, dst, src, fx, fy)
 
     def apply(self, img: ImageBuffer) -> ImageBuffer:
-        """Bilinear samples of ``img`` at the valid pixels, black elsewhere."""
+        """Bilinear samples of ``img`` at the valid pixels, black elsewhere.
+
+        The valid pixels are blended ``_BLOCK_PIXELS`` at a time in buffers made
+        once per call, so beyond the output the temporaries stay bounded by the
+        block size; the products and sums are those of one whole-frame blend, so
+        the bytes are too."""
         if (img.width, img.height) != (self.src_w, self.src_h):
             raise InvalidArgument("image size does not match the map")
         c = img.channels
@@ -138,14 +143,39 @@ class RectifyMap:
         planes = np.ascontiguousarray(np.moveaxis(img.data, 2, 0)).reshape(c, -1)
         right = 1 if self.src_w > 1 else 0
         down = self.src_w if self.src_h > 1 else 0
-        src, fx, fy = self.src, self.fx, self.fy
-        top = planes.take(src, axis=1) * (1 - fx) + planes.take(src + right, axis=1) * fx
-        bot = (planes.take(src + down, axis=1) * (1 - fx)
-               + planes.take(src + (right + down), axis=1) * fx)
-        out = np.zeros((c, self.out_h * self.out_w), dtype=np.uint8)
-        out[:, self.dst] = np.clip(np.rint(top * (1 - fy) + bot * fy), 0, 255).astype(np.uint8)
+        out = np.zeros((self.out_h * self.out_w, c), dtype=np.uint8)  # pixel-major, as returned
+        size = min(_BLOCK_PIXELS, self.dst.size)
+        index = np.empty(size, dtype=np.intp)
+        pixels = np.empty(c * size, dtype=np.uint8)
+        top, bot, term = (np.empty(c * size) for _ in range(3))
+        weight = np.empty(size)  # 1 - fx, then 1 - fy
+        for b0 in range(0, self.dst.size, _BLOCK_PIXELS):
+            b1 = min(b0 + _BLOCK_PIXELS, self.dst.size)
+            n = b1 - b0
+            idx, w = index[:n], weight[:n]
+            p, t, b, s = (a[:c * n].reshape(c, n) for a in (pixels, top, bot, term))
+            fx, fy = self.fx[b0:b1], self.fy[b0:b1]
+            np.subtract(1, fx, out=w)
+            np.copyto(idx, self.src[b0:b1])
+            planes.take(idx, axis=1, out=p)
+            np.multiply(p, w, out=t)  # top = p0 (1 - fx) + p1 fx
+            idx += right
+            planes.take(idx, axis=1, out=p)
+            t += np.multiply(p, fx, out=s)
+            idx += down
+            planes.take(idx, axis=1, out=p)
+            np.multiply(p, fx, out=b)  # bot = p2 (1 - fx) + p3 fx
+            idx -= right
+            planes.take(idx, axis=1, out=p)
+            b += np.multiply(p, w, out=s)
+            np.subtract(1, fy, out=w)
+            t *= w  # top (1 - fy) + bot fy
+            t += np.multiply(b, fy, out=b)
+            np.clip(np.rint(t, out=t), 0, 255, out=t)
+            np.copyto(idx, self.dst[b0:b1])
+            out[idx] = t.T
         return ImageBuffer(width=self.out_w, height=self.out_h, channels=c,
-                           data=np.moveaxis(out.reshape(c, self.out_h, self.out_w), 0, 2))
+                           data=out.reshape(self.out_h, self.out_w, c))
 
 
 # One stereo pair. Keyed on the bytes of H, so a matrix changed in place gets a new map.

@@ -156,6 +156,15 @@ def test_degenerate_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(d, "rectify.json"))
 
 
+# The 1e300 baseline overflows numpy's norm on the way; that warning is not what is tested.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_degenerate_pipeline_error_creates_no_directory(tmp_path, capsys):
+    d = tmp_path / "d1"
+    assert main(["degenerate", "--a", "1e300", "--theta", "1.5", "-o", str(d)]) == 3
+    assert "stage 'shear'" in capsys.readouterr().err
+    assert not d.exists()
+
+
 # --- strict homography files and warp size flags ---------------------------------
 
 @pytest.fixture

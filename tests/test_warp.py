@@ -509,3 +509,28 @@ def test_map_build_memory_is_bounded_per_pixel():
     assert m.dst.size == size * size
     assert sum(a.nbytes for a in (m.dst, m.src, m.fx, m.fy)) == 24 * size * size
     assert peak <= 56 * size * size
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("valid", [0, 1, warp._BLOCK_PIXELS - 1, warp._BLOCK_PIXELS,
+                                   warp._BLOCK_PIXELS + 1, 2 * warp._BLOCK_PIXELS + 1])
+def test_apply_matches_reference_across_block_edges(valid, channels):
+    """A one-row canvas sampling a 2-row source at (x + 0.25, 0.5): exactly ``valid``
+    output pixels have their source inside it, and the 5 columns past them do not."""
+    rng = np.random.default_rng([9, valid, channels])
+    img = from_array(rng.integers(0, 256, size=(2, valid + 1, channels), dtype=np.uint8))
+    H = np.array([[1.0, 0.0, -0.25], [0.0, 1.0, -0.5], [0.0, 0.0, 1.0]])
+    assert RectifyMap.build(H, img.width, img.height, valid + 5, 1).dst.size == valid
+    assert_same_as_reference(img, H, valid + 5, 1)
+
+
+def test_apply_memory_is_bounded_by_the_block():
+    """One apply of the synth_rig(1) H1 map (596 x 480 canvas) needs the output and
+    per-block buffers, not whole-frame float64 temporaries."""
+    rig = synth_rig(1)
+    pair = assemble(rig)
+    rgb = render_view(rig.cam1)
+    gray = from_array(np.array(rgb.data[:, :, 0]))
+    m = RectifyMap.build(pair.H1, rgb.width, rgb.height, *pair.output_size)
+    assert traced_peak(m.apply, gray) <= 2_000_000
+    assert traced_peak(m.apply, rgb) <= 6_000_000
