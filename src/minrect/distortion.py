@@ -170,10 +170,15 @@ def _metric_of_y(terms, y: float):
 
 
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
-    """The metric as a function of the horizon intercept on image 1, a finite y1."""
+    """The metric as a function of the horizon intercept on image 1, a finite y1
+    at which the quadratic forms do not overflow."""
     if not math.isfinite(y1):
         raise InvalidArgument(f"y1 must be finite, got {y1!r}")
-    total = _metric_of_y(_rational_terms(ops), float(y1))
+    try:
+        with np.errstate(over="raise"):
+            total = _metric_of_y(_rational_terms(ops), float(y1))
+    except FloatingPointError as exc:
+        raise InvalidArgument(f"y1={y1!r} overflows the distortion function") from exc
     if total is None:
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total

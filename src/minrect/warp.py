@@ -89,6 +89,15 @@ def _check_canvas(out_w, out_h) -> None:
                                  f"integers of at most {MAX_OUTPUT_PIXELS} pixels")
 
 
+def _gather(views: list, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[k] = views[k][idx]`` for each channel k.  ``RectifyMap.build`` keeps
+    every index inside its view, so mode="clip" never clips; it skips the copy of
+    ``out`` that the default mode makes on every call to leave it intact on error."""
+    for view, row in zip(views, out):
+        view.take(idx, out=row, mode="clip")
+    return out
+
+
 @dataclass(frozen=True)
 class RectifyMap:
     """The bilinear gather of one homography between fixed source and output sizes.
@@ -143,7 +152,11 @@ class RectifyMap:
         planes = np.ascontiguousarray(np.moveaxis(img.data, 2, 0)).reshape(c, -1)
         right = 1 if self.src_w > 1 else 0
         down = self.src_w if self.src_h > 1 else 0
+        # The neighbours of the pixel at source index i are element i of these
+        # views, one contiguous view per channel, so one index serves all four.
+        p0, p1, p2, p3 = ([plane[o:] for plane in planes] for o in (0, right, down, down + right))
         out = np.zeros((self.out_h * self.out_w, c), dtype=np.uint8)  # pixel-major, as returned
+        columns = [out[:, k] for k in range(c)]
         size = min(_BLOCK_PIXELS, self.dst.size)
         index = np.empty(size, dtype=np.intp)
         pixels = np.empty(c * size, dtype=np.uint8)
@@ -157,23 +170,18 @@ class RectifyMap:
             fx, fy = self.fx[b0:b1], self.fy[b0:b1]
             np.subtract(1, fx, out=w)
             np.copyto(idx, self.src[b0:b1])
-            planes.take(idx, axis=1, out=p)
-            np.multiply(p, w, out=t)  # top = p0 (1 - fx) + p1 fx
-            idx += right
-            planes.take(idx, axis=1, out=p)
-            t += np.multiply(p, fx, out=s)
-            idx += down
-            planes.take(idx, axis=1, out=p)
-            np.multiply(p, fx, out=b)  # bot = p2 (1 - fx) + p3 fx
-            idx -= right
-            planes.take(idx, axis=1, out=p)
-            b += np.multiply(p, w, out=s)
+            np.multiply(_gather(p0, idx, p), w, out=t)  # top = p0 (1 - fx) + p1 fx
+            t += np.multiply(_gather(p1, idx, p), fx, out=s)
+            np.multiply(_gather(p3, idx, p), fx, out=b)  # bot = p2 (1 - fx) + p3 fx
+            b += np.multiply(_gather(p2, idx, p), w, out=s)
             np.subtract(1, fy, out=w)
             t *= w  # top (1 - fy) + bot fy
             t += np.multiply(b, fy, out=b)
             np.clip(np.rint(t, out=t), 0, 255, out=t)
+            np.copyto(p, t, casting="unsafe")  # whole numbers in 0..255: exact
             np.copyto(idx, self.dst[b0:b1])
-            out[idx] = t.T
+            for column, row in zip(columns, p):
+                column[idx] = row
         return ImageBuffer(width=self.out_w, height=self.out_h, channels=c,
                            data=out.reshape(self.out_h, self.out_w, c))
 

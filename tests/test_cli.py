@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output schemas, determinism."""
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -331,3 +332,24 @@ def test_entry_exits_with_the_main_code(tmp_path, rig_d_path, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             entry()
         assert exc.value.code == code
+
+
+def test_evaluate_refuses_y1_that_overflows_without_a_warning(rig_d_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", rig_d_path, "--y1", "1e200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "overflows" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_evaluate_large_y1_that_does_not_overflow_prints_its_value(tmp_path, capsys):
+    out = str(tmp_path / "scene")
+    assert main(["synth", "--seed", "3", "-o", out]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", os.path.join(out, "calib.json"), "--y1", "1e150"]) == 0
+    assert capsys.readouterr().out == "2.29477e+09\n"

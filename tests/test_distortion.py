@@ -1,5 +1,6 @@
 """Distortion metric: moment matrices, operands, and the y-parametrisation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from minrect.distortion import (
     w_from_y,
     w_from_y_raw,
 )
-from minrect.errors import BadDimensions, DegenerateCenter, PoleAtY
+from minrect.errors import BadDimensions, DegenerateCenter, InvalidArgument, PoleAtY
 from minrect.geometry import Camera, StereoRig
 
 
@@ -229,6 +230,17 @@ def test_distortion_of_y_raises_at_a_pole(rig_d):
     for pole in poles(ops):
         with pytest.raises(PoleAtY):
             distortion_of_y(ops, pole)
+
+
+def test_distortion_of_y_refuses_y1_where_the_quadratic_forms_overflow(rig_d):
+    """y1² overflows above about 1e154: a refusal with no RuntimeWarning, not a pole."""
+    ops = operand_matrices(rig_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (1e200, -1e200, 1e308):
+            with pytest.raises(InvalidArgument, match="overflows the distortion function"):
+                distortion_of_y(ops, y)
+        assert math.isfinite(distortion_of_y(ops, 1e150))
 
 
 def test_w_from_y_raises_where_the_row_cannot_be_rescaled(rig_d):

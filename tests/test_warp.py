@@ -534,3 +534,25 @@ def test_apply_memory_is_bounded_by_the_block():
     m = RectifyMap.build(pair.H1, rgb.width, rgb.height, *pair.output_size)
     assert traced_peak(m.apply, gray) <= 2_000_000
     assert traced_peak(m.apply, rgb) <= 6_000_000
+
+
+def test_map_neighbours_stay_inside_the_source():
+    """apply gathers without a bounds check (mode="clip"), so build must keep all four
+    neighbours of every valid pixel inside the source, or a wrong sample would be
+    clipped into place instead of raising."""
+    cases = [random_case(k) for k in range(240)]
+    rig = synth_rig(2)
+    pair = assemble(rig)
+    frame = render_view(rig.cam1)
+    cases += [(frame, H, *pair.output_size) for H in (pair.H1, pair.H2)]
+    cases += [(from_array(np.zeros(shape, np.uint8)), np.diag([1.5, 1.5, 1.0]), 12, 12)
+              for shape in [(1, 7), (7, 1), (1, 1)]]
+    for img, H, out_w, out_h in cases:
+        m = RectifyMap.build(H, img.width, img.height, out_w, out_h)
+        if m.dst.size == 0:
+            continue
+        right = 1 if img.width > 1 else 0
+        down = img.width if img.height > 1 else 0
+        assert m.src.min() >= 0
+        assert int(m.src.max()) + right + down < img.width * img.height
+        assert (m.src % img.width + right < img.width).all()  # no wrap to the next row
