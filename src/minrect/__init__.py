@@ -26,7 +26,6 @@ from .errors import MinrectError, PipelineError
 from .geometry import (
     Camera,
     StereoRig,
-    epipolar_line,
     epipoles,
     fundamental_matrix,
     load_calibration,
@@ -41,7 +40,6 @@ from .quartic import (
     solve_quartic,
 )
 from .rectify import (
-    CommonOrientation,
     RectifiedPair,
     assemble,
     joint_fit,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Camera",
-    "CommonOrientation",
     "DistortionOperands",
     "ImageBuffer",
     "MinrectError",
@@ -68,7 +65,6 @@ __all__ = [
     "degenerate_rig",
     "distortion_of_w",
     "distortion_of_y",
-    "epipolar_line",
     "epipoles",
     "fundamental_matrix",
     "fusiello_rectify",

@@ -25,7 +25,7 @@ from .distortion import (
 )
 from .errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
 from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rot_x
-from .rectify import CommonOrientation, RectifiedPair, assemble, complete_homographies
+from .rectify import RectifiedPair, assemble, complete_homographies
 
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_SIZE = (640, 480)
@@ -50,7 +50,7 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     w2 = Rnew[2, :] @ rig.cam2.projection_inv
     dist = distortion_of_w(w1, w2, moment_matrices(rig.cam1.width, rig.cam1.height),
                            moment_matrices(rig.cam2.width, rig.cam2.height))
-    return complete_homographies(rig, CommonOrientation(Rnew=Rnew), float("nan"), dist)
+    return complete_homographies(rig, Rnew, float("nan"), dist)
 
 
 def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
@@ -61,11 +61,13 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     least finite value, so memory beyond the grid itself stays fixed."""
     if samples < 1001:
         raise InvalidArgument("samples must be at least 1001")
+    if not math.isfinite(y_hi - y_lo):  # also NaN or inf if either bound is
+        raise InvalidArgument(f"scan bounds must be finite with a finite span, "
+                              f"got {y_lo!r}, {y_hi!r}")
     ys = np.linspace(y_lo, y_hi, samples)
     i, best = -1, np.inf
     for start in range(0, samples, _BLOCK):
         vals = distortion_of_y_many(ops, ys[start:start + _BLOCK])
-        np.copyto(vals, np.inf, where=~np.isfinite(vals))
         j = int(np.argmin(vals))
         if vals[j] < best:
             i, best = start + j, vals[j]

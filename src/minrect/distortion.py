@@ -221,8 +221,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
             np.maximum(t, 1.0, out=t)
             t *= 1e-15
             np.less_equal(de, t, out=b)
-            np.copyto(de, 1.0, where=b)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 np.divide(nu, de, out=t)
             np.copyto(t, np.inf, where=b)
             total += t

@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidArgument, InvalidCalibration, InvalidCamera, InvalidRig,
-                     SingularProjection)
+from .errors import InvalidCalibration, InvalidCamera, InvalidRig, SingularProjection
 
 COND_LIMIT = 1e12
 _ORTHO_TOL = 1e-9
@@ -168,16 +167,6 @@ def is_in_front(cam: Camera, X) -> bool:
     """Whether the point has positive depth in the camera."""
     X = np.asarray(X, dtype=float)
     return float((cam.R @ X + cam.t)[2]) > 0.0
-
-
-def epipolar_line(F: np.ndarray, p, direction: str = "1->2") -> np.ndarray:
-    """Epipolar line of ``p``: F p for direction "1->2", F^T p for "2->1"."""
-    p = np.asarray(p, dtype=float)
-    if direction == "1->2":
-        return F @ p
-    if direction == "2->1":
-        return F.T @ p
-    raise InvalidArgument(f"unknown direction {direction!r}")
 
 
 def camera_from_dict(d: dict) -> Camera:

@@ -26,13 +26,6 @@ from .geometry import StereoRig, read_only
 
 
 @dataclass(frozen=True)
-class CommonOrientation:
-    """Shared virtual-camera orientation; rows are the new axes in WCS."""
-
-    Rnew: np.ndarray
-
-
-@dataclass(frozen=True)
 class RectifiedPair:
     """Final homographies with their decomposition and achieved distortion."""
 
@@ -47,9 +40,9 @@ class RectifiedPair:
     output_size: tuple  # (width, height) of the union canvas
 
 
-def new_orientation(rig: StereoRig, y1: float) -> CommonOrientation:
-    """Orientation whose x-axis follows the baseline and whose horizon
-    passes through the y-intercept ``y1`` on image 1."""
+def new_orientation(rig: StereoRig, y1: float) -> np.ndarray:
+    """Read-only rotation whose rows are the new axes in WCS: x follows the
+    baseline and the horizon passes through the y-intercept ``y1`` on image 1."""
     x_hat = rig.x_hat
     u = np.array([0.0, float(y1), 1.0])
     # The intercept ray direction from the first center, minus its baseline
@@ -65,7 +58,7 @@ def new_orientation(rig: StereoRig, y1: float) -> CommonOrientation:
     if float(z_hat @ rig.cam1.axis) < 0.0:
         z_hat = -z_hat
     y_hat = np.cross(z_hat, x_hat)
-    return CommonOrientation(Rnew=read_only(np.vstack([x_hat, y_hat, z_hat])))
+    return read_only(np.vstack([x_hat, y_hat, z_hat]))
 
 
 def _map_point(H: np.ndarray, x: float, y: float) -> np.ndarray:
@@ -138,14 +131,14 @@ def assemble(rig: StereoRig) -> RectifiedPair:
     problem = _stage("quartic-coefficients", quartic.quartic_coefficients, ops)
     roots = _stage("quartic-roots", quartic.solve_quartic, problem)
     y1_star, dist = _stage("minimum-selection", quartic.select_minimum, ops, problem, roots)
-    orientation = _stage("orientation", new_orientation, rig, y1_star)
-    return complete_homographies(rig, orientation, y1_star, dist)
+    Rnew = _stage("orientation", new_orientation, rig, y1_star)
+    return complete_homographies(rig, Rnew, y1_star, dist)
 
 
-def complete_homographies(rig: StereoRig, orientation: CommonOrientation,
+def complete_homographies(rig: StereoRig, Rnew: np.ndarray,
                           y1_star: float, dist: float) -> RectifiedPair:
-    """Shear, fit and normalise the base homographies for an orientation."""
-    Rnew = orientation.Rnew
+    """Shear, fit and normalise the base homographies ``Rnew @ (A R)^-1``,
+    where the rows of the rotation ``Rnew`` are the new axes in WCS."""
     shears, pres = [], []
     for cam in (rig.cam1, rig.cam2):
         base = Rnew @ cam.projection_inv

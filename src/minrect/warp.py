@@ -58,8 +58,8 @@ def _gather_rows(Hinv: np.ndarray, src_w: int, src_h: int, out_w: int, r0: int,
                  r1: int) -> tuple:
     """dst, src, fx, fy of the valid output pixels in rows r0..r1-1 (see RectifyMap)."""
     sx, sy, sw = source_coords(Hinv, out_w, r1, first_row=r0)
-    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
-    valid &= (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
+    # NaN fails every range comparison and +-inf fails one of them
+    valid = (np.abs(sw) > 1e-12) & (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
     flat = np.flatnonzero(valid)
     sx = sx.ravel()[flat]
     sy = sy.ravel()[flat]
@@ -144,7 +144,8 @@ class RectifyMap:
         The valid pixels are blended ``_BLOCK_PIXELS`` at a time in buffers made
         once per call, so beyond the output the temporaries stay bounded by the
         block size; the products and sums are those of one whole-frame blend, so
-        the bytes are too."""
+        the bytes are too.  ``build`` keeps ``fx`` and ``fy`` in [0, 1], so each
+        blend is a convex combination of bytes and needs no clamp."""
         if (img.width, img.height) != (self.src_w, self.src_h):
             raise InvalidArgument("image size does not match the map")
         c = img.channels
@@ -177,7 +178,7 @@ class RectifyMap:
             np.subtract(1, fy, out=w)
             t *= w  # top (1 - fy) + bot fy
             t += np.multiply(b, fy, out=b)
-            np.clip(np.rint(t, out=t), 0, 255, out=t)
+            np.rint(t, out=t)
             np.copyto(p, t, casting="unsafe")  # whole numbers in 0..255: exact
             np.copyto(idx, self.dst[b0:b1])
             for column, row in zip(columns, p):

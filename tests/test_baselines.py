@@ -1,6 +1,7 @@
 """Comparison baseline, dense-scan oracle, degenerate family, stress harness."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,3 +298,12 @@ def test_stress_counts_pd_probe_failures(monkeypatch):
 def test_stress_rejects_zero_trials():
     with pytest.raises(ValueError):
         stress(0, seed=1)
+
+
+def test_cholesky_probe_refuses_a_trace_that_is_not_positive_and_finite():
+    # without the trace check, the large off-diagonal would pass the last pivot
+    steep = np.array([[-1e-13, 1.0], [1.0, -1.0 + 1e-13]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for M in (np.zeros((2, 2)), np.full((2, 2), np.nan), steep):
+            assert baselines._cholesky_ok(M) is False

@@ -93,7 +93,7 @@ def test_w_matches_geometric_path(rig_d):
     rng = np.random.default_rng(5)
     for y1 in rng.uniform(-200, 600, size=10):
         w1, _ = w_from_y(ops, float(y1))
-        Rnew = new_orientation(rig_d, float(y1)).Rnew
+        Rnew = new_orientation(rig_d, float(y1))
         geo = Rnew[2] @ np.linalg.inv(rig_d.cam1.projection)
         geo = geo / geo[2]
         assert np.allclose(w1, geo, atol=1e-9 * max(1.0, np.abs(geo).max()))
@@ -408,3 +408,25 @@ def test_many_matches_reference_on_nonfinite_samples(rig_d):
     ys = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_as_reference(ops, ys)
+
+
+def test_many_is_finite_or_plus_inf_on_finite_samples():
+    """scan_minimize takes the least sample without a finiteness mask: no finite
+    sample may come out as NaN or -inf."""
+    cases = []
+    for ops in pi2_ops(40, seed=11):
+        ys = [np.linspace(-4800.0, 4800.0, 4001)]  # +-10 image heights
+        for p in poles(ops):
+            half = _exclusion_half_width(p)
+            for centre in (p, p - half, p + half):
+                y = np.float64(centre)
+                ys.append([np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)])
+        cases.append((ops, np.concatenate(ys)))
+    ys = np.concatenate([np.linspace(-10.0, 10.0, 4001), [2.0, 3.0, 4.0]])
+    # a negative denominator on (2, 4); a zero one; a quotient that overflows
+    for den1 in ((1.0, -6.0, 8.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1e-300), (0.0, 0.0, 1e-300)):
+        for num1 in ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e300)):
+            cases.append((rational_ops(num1, den1, (0.0, 0.0, 1.0), (1.0, -40.0, 401.0)), ys))
+    for ops, ys in cases:
+        got = distortion_of_y_many(ops, ys)
+        assert (np.isfinite(got) | (got == np.inf)).all()

@@ -8,7 +8,6 @@ from minrect import errors
 from minrect.baselines import degenerate_rig, scan_minimize, stress
 from minrect.distortion import distortion_of_y, operand_matrices
 from minrect.errors import InputError, InvalidArgument, MinrectError
-from minrect.geometry import epipolar_line
 from minrect.synth import synth_rig
 from minrect.warp import ImageBuffer, RectifyMap, from_array
 
@@ -39,7 +38,11 @@ REFUSALS = {
     "distortion_of_y +inf": lambda rig: distortion_of_y(operand_matrices(rig), math.inf),
     "distortion_of_y -inf": lambda rig: distortion_of_y(operand_matrices(rig), -math.inf),
     "scan samples < 1001": lambda rig: scan_minimize(operand_matrices(rig), 0.0, 1.0, 10),
-    "epipolar direction": lambda rig: epipolar_line(np.eye(3), [0.0, 0.0, 1.0], "1-2"),
+    "scan y_lo -inf": lambda rig: scan_minimize(operand_matrices(rig), -math.inf, 1.0),
+    "scan y_hi +inf": lambda rig: scan_minimize(operand_matrices(rig), 0.0, math.inf),
+    "scan y_lo NaN": lambda rig: scan_minimize(operand_matrices(rig), math.nan, 1.0),
+    "scan y_hi NaN": lambda rig: scan_minimize(operand_matrices(rig), 0.0, math.nan),
+    "scan span overflows": lambda rig: scan_minimize(operand_matrices(rig), -1e308, 1e308),
     "image channels": lambda rig: ImageBuffer(width=1, height=1, channels=2,
                                               data=np.zeros((1, 1, 2), dtype=np.uint8)),
     "image shape": lambda rig: ImageBuffer(width=2, height=1, channels=1,

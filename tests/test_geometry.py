@@ -6,7 +6,6 @@ from minrect.errors import InvalidCalibration, InvalidCamera, InvalidRig
 from minrect.geometry import (
     Camera,
     StereoRig,
-    epipolar_line,
     epipoles,
     fundamental_matrix,
     load_calibration,
@@ -121,14 +120,14 @@ def test_project_identity_camera():
 
 def test_epipolar_line_rectified_form():
     Fbar = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    line = epipolar_line(Fbar, [3.0, 7.0, 1.0], "1->2")
+    line = Fbar @ np.array([3.0, 7.0, 1.0])
     assert np.allclose(line, [0.0, -1.0, 7.0])
 
 
 def test_epipolar_line_at_epipole_is_zero(rig_d):
     F = fundamental_matrix(rig_d)
     e1, _ = epipoles(rig_d)
-    assert np.linalg.norm(epipolar_line(F, e1, "1->2")) <= 1e-9
+    assert np.linalg.norm(F @ e1) <= 1e-9
 
 
 def test_point_on_epipolar_line(rig_d):
@@ -137,7 +136,7 @@ def test_point_on_epipolar_line(rig_d):
     for X in visible_points(rig_d, rng, 10):
         p1 = project(rig_d.cam1, X)
         p2 = project(rig_d.cam2, X)
-        line = epipolar_line(F, p1 / p1[2], "1->2")
+        line = F @ (p1 / p1[2])
         assert abs(line @ (p2 / p2[2])) <= 1e-8 * np.linalg.norm(line)
 
 
@@ -219,9 +218,4 @@ def test_normalize_matrix_of_zeros_is_zeros():
 def test_epipolar_line_of_second_epipole_is_zero(rig_d):
     F = fundamental_matrix(rig_d)
     _, e2 = epipoles(rig_d)
-    assert np.linalg.norm(epipolar_line(F, e2, "2->1")) <= 1e-9
-
-
-def test_epipolar_line_rejects_unknown_direction(rig_d):
-    with pytest.raises(ValueError, match="unknown direction"):
-        epipolar_line(fundamental_matrix(rig_d), [0.0, 0.0, 1.0], "1<-2")
+    assert np.linalg.norm(F.T @ e2) <= 1e-9

@@ -31,20 +31,20 @@ def rectified_residual(rig, pair):
 # --- new_orientation ----------------------------------------------------------
 
 def test_orientation_frontoparallel_identity(frontoparallel):
-    R = new_orientation(frontoparallel, 240.0).Rnew
+    R = new_orientation(frontoparallel, 240.0)
     assert np.allclose(R, np.eye(3), atol=1e-12)
 
 
 def test_orientation_orthonormal(rig_d):
     for y1 in (-100.0, 0.0, 250.0, 700.0):
-        R = new_orientation(rig_d, y1).Rnew
+        R = new_orientation(rig_d, y1)
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orientation_x_axis_is_baseline(rig_d):
     b = rig_d.baseline
-    R = new_orientation(rig_d, 100.0).Rnew
+    R = new_orientation(rig_d, 100.0)
     assert abs(R[0] @ b) == pytest.approx(np.linalg.norm(b), abs=1e-9)
 
 
@@ -54,7 +54,7 @@ def test_orientation_third_row_matches_w(rig_d):
 
     problem = quartic_coefficients(ops)
     y_star, _ = select_minimum(ops, problem, solve_quartic(problem))
-    R = new_orientation(rig_d, y_star).Rnew
+    R = new_orientation(rig_d, y_star)
     row = R[2] @ np.linalg.inv(rig_d.cam1.projection)
     row = row / row[2]
     w1, _ = w_from_y(ops, y_star)
@@ -81,9 +81,7 @@ def test_shear_identity_input():
 
 def test_shear_defining_properties(rig_d):
     pair = assemble(rig_d)  # smoke: uses shear internally
-    from minrect.rectify import CommonOrientation
-
-    Hp = new_orientation(rig_d, pair.y1_star).Rnew @ np.linalg.inv(rig_d.cam1.projection)
+    Hp = new_orientation(rig_d, pair.y1_star) @ np.linalg.inv(rig_d.cam1.projection)
     S = shear_similarity(Hp, 640, 480)
     u, v = midline_vectors(S, Hp, 640, 480)
     assert abs(u @ v) <= 1e-9 * np.linalg.norm(u) * np.linalg.norm(v)
@@ -198,14 +196,14 @@ def test_assemble_beats_random_y(rig_d):
 
 def test_perturbed_orientation_breaks_alignment(rig_d):
     """Tilting the new x-axis off the baseline destroys row alignment."""
-    from minrect.rectify import complete_homographies, CommonOrientation
+    from minrect.rectify import complete_homographies
 
     pair = assemble(rig_d)
-    R = new_orientation(rig_d, pair.y1_star).Rnew
+    R = new_orientation(rig_d, pair.y1_star)
     angle = 1e-3
     c, s = np.cos(angle), np.sin(angle)
     tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    bad = CommonOrientation(Rnew=tilt @ R)
+    bad = tilt @ R
     bad_pair = complete_homographies(rig_d, bad, pair.y1_star, pair.distortion)
     rng = np.random.default_rng(47)
     worst = 0.0

@@ -536,10 +536,8 @@ def test_apply_memory_is_bounded_by_the_block():
     assert traced_peak(m.apply, rgb) <= 6_000_000
 
 
-def test_map_neighbours_stay_inside_the_source():
-    """apply gathers without a bounds check (mode="clip"), so build must keep all four
-    neighbours of every valid pixel inside the source, or a wrong sample would be
-    clipped into place instead of raising."""
+def map_cases():
+    """(img, H, out_w, out_h): the random cases, a synth pair and 1-px sources."""
     cases = [random_case(k) for k in range(240)]
     rig = synth_rig(2)
     pair = assemble(rig)
@@ -547,7 +545,14 @@ def test_map_neighbours_stay_inside_the_source():
     cases += [(frame, H, *pair.output_size) for H in (pair.H1, pair.H2)]
     cases += [(from_array(np.zeros(shape, np.uint8)), np.diag([1.5, 1.5, 1.0]), 12, 12)
               for shape in [(1, 7), (7, 1), (1, 1)]]
-    for img, H, out_w, out_h in cases:
+    return cases
+
+
+def test_map_neighbours_stay_inside_the_source():
+    """apply gathers without a bounds check (mode="clip"), so build must keep all four
+    neighbours of every valid pixel inside the source, or a wrong sample would be
+    clipped into place instead of raising."""
+    for img, H, out_w, out_h in map_cases():
         m = RectifyMap.build(H, img.width, img.height, out_w, out_h)
         if m.dst.size == 0:
             continue
@@ -556,3 +561,12 @@ def test_map_neighbours_stay_inside_the_source():
         assert m.src.min() >= 0
         assert int(m.src.max()) + right + down < img.width * img.height
         assert (m.src % img.width + right < img.width).all()  # no wrap to the next row
+
+
+def test_map_weights_lie_in_the_unit_interval():
+    """apply rounds each blend without a clamp: with fx and fy in [0, 1] it is a convex
+    combination of bytes, so it rounds into 0..255 on its own."""
+    for img, H, out_w, out_h in map_cases():
+        m = RectifyMap.build(H, img.width, img.height, out_w, out_h)
+        for weight in (m.fx, m.fy):
+            assert ((weight >= 0.0) & (weight <= 1.0)).all()
