@@ -1,9 +1,9 @@
 """Comparison methods and verification oracles.
 
-Holds the orientation-of-camera-1 baseline rectifier, a dense-scan global
-minimiser used as an independent oracle, the degenerate-configuration
-family on which initial-guess methods lose positive-definiteness, and a
-randomized stress harness aggregating all of the above.
+Holds the orientation-of-camera-1 baseline rectifier, a global minimiser
+used as an independent oracle (a dense scan refined by re-scans), the
+degenerate-configuration family on which initial-guess methods lose
+positive-definiteness, and a randomized stress harness aggregating all of the above.
 """
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ import numpy as np
 from .distortion import (
     _BLOCK,
     DistortionOperands,
-    _metric_of_y,
-    _rational_terms,
     distortion_of_w,
     distortion_of_y_many,
     moment_matrices,
@@ -31,8 +29,6 @@ DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0
 DEFAULT_SIZE = (640, 480)
 STRESS_SCAN_SAMPLES = 20_001  # scan oracle density per stress trial
 SCAN_GAP_LIMIT = 1e-9  # relative excess of the closed form over the scan that counts as a miss
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
@@ -55,50 +51,36 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
 
 def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                   samples: int = 200_001) -> tuple[float, float]:
-    """Dense scan plus golden-section refinement; independent oracle.
+    """Dense scan of [y_lo, y_hi] plus re-scans; independent oracle.
 
-    The grid is evaluated one block at a time, keeping the first sample of
-    least finite value, so memory beyond the grid itself stays fixed."""
+    Each grid is evaluated one block at a time, so memory beyond it stays fixed,
+    and yields its first sample of least value. The interval between that
+    sample's neighbours is re-scanned with 1001 samples until it is within
+    1e-10 * (1 + |lo| + |hi|); the last best sample and its value are returned."""
     if samples < 1001:
         raise InvalidArgument("samples must be at least 1001")
-    if not math.isfinite(y_hi - y_lo):  # also NaN or inf if either bound is
+    try:
+        lo, hi = float(y_lo), float(y_hi)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"scan bounds must convert to float, got {y_lo!r}, {y_hi!r}") from exc
+    if not math.isfinite(hi - lo):  # also NaN or inf if either bound is
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
-    ys = np.linspace(y_lo, y_hi, samples)
-    i, best = -1, np.inf
-    for start in range(0, samples, _BLOCK):
-        vals = distortion_of_y_many(ops, ys[start:start + _BLOCK])
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            i, best = start + j, vals[j]
-    if i < 0:
-        raise EmptyDomain("every sample is pole-excluded")
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, samples - 1)]
-    return _golden_section(ops, lo, hi)
-
-
-def _golden_section(ops: DistortionOperands, lo: float, hi: float) -> tuple[float, float]:
-    terms = _rational_terms(ops)
-
-    def f(y):
-        value = _metric_of_y(terms, y)
-        return float("inf") if value is None else value
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10 * (1.0 + abs(lo) + abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    best = min(((f1, x1), (f2, x2)))
-    return best[1], best[0]
+    while True:
+        ys = np.linspace(lo, hi, samples)
+        i, best = -1, np.inf
+        for start in range(0, samples, _BLOCK):
+            vals = distortion_of_y_many(ops, ys[start:start + _BLOCK])
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                i, best = start + j, vals[j]
+        if i < 0:
+            raise EmptyDomain("every sample is pole-excluded or overflowing")
+        # Python floats: |lo| + |hi| may round up to inf, and then without a warning
+        lo, hi = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, samples - 1)])
+        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+            return ys[i], best
+        samples = 1001
 
 
 def degenerate_rig(a: float, theta_x: float) -> StereoRig:

@@ -188,7 +188,8 @@ _BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay i
 
 
 def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
-    """Vectorised evaluation; pole-adjacent samples come out as +inf.
+    """Vectorised evaluation; a sample next to a pole, or one at which a
+    numerator's quadratic form overflows, comes out as +inf.
 
     Runs over blocks of ``_BLOCK`` samples through one set of buffers, so that
     beyond its output it needs a fixed amount of memory, whatever the size of ``ys``.
@@ -208,23 +209,23 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
         nu, de, t, b = num[:k], den[:k], tmp[:k], bad[:k]
         total.fill(0.0)
         # distortion_of_y's arithmetic, in its order, written in place
-        for (n2, n1, n0), (d2, d1, d0) in terms:
-            np.multiply(y, n2, out=nu)
-            nu += n1
-            nu *= y
-            nu += n0
-            np.multiply(y, d2, out=de)
-            de += d1
-            de *= y
-            de += d0
-            np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1)
-            np.maximum(t, 1.0, out=t)
-            t *= 1e-15
-            np.less_equal(de, t, out=b)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for (n2, n1, n0), (d2, d1, d0) in terms:
+                np.multiply(y, n2, out=nu)
+                nu += n1
+                nu *= y
+                nu += n0
+                np.multiply(y, d2, out=de)
+                de += d1
+                de *= y
+                de += d0
+                np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1)
+                np.maximum(t, 1.0, out=t)
+                t *= 1e-15
+                np.less_equal(de, t, out=b)
                 np.divide(nu, de, out=t)
-            np.copyto(t, np.inf, where=b)
-            total += t
+                np.copyto(t, np.inf, where=b)
+                total += t
         for p, half_width in zones:
             np.subtract(y, p, out=t)
             np.abs(t, out=t)

@@ -67,7 +67,7 @@ class DegenerateOrientation(MinrectError):
 
 
 class EmptyDomain(MinrectError):
-    """Every scan sample is pole-excluded."""
+    """Every scan sample is pole-excluded or overflowing."""
 
 
 class MalformedHeader(InputError):

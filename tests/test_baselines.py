@@ -15,8 +15,7 @@ from minrect.baselines import (
     stress,
 )
 from minrect import baselines, distortion
-from minrect.distortion import (_exclusion_half_width, distortion_of_y, operand_matrices,
-                                poles)
+from minrect.distortion import _exclusion_half_width, operand_matrices, poles
 from minrect.errors import DegenerateOrientation, EmptyDomain, MinrectError
 from minrect.geometry import fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble
@@ -94,45 +93,23 @@ def test_scan_requires_samples(rig_d):
         scan_minimize(ops, 0.0, 1.0, samples=10)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def reference_scan(ops, y_lo, y_hi, samples=200_001):
-    """The dense scan on the whole grid at once, then golden-section refinement:
-    the reference that scan_minimize must match bit for bit."""
+    """The dense scan and its re-scans, each on the whole grid at once: the
+    reference that scan_minimize must match bit for bit."""
     if samples < 1001:
         raise ValueError("samples must be at least 1001")
-    ys = np.linspace(y_lo, y_hi, samples)
-    vals = reference_many(ops, ys)
-    if not np.any(np.isfinite(vals)):
-        raise EmptyDomain("every sample is pole-excluded")
-    i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, samples - 1)]
-    return reference_golden_section(ops, lo, hi)
-
-
-def reference_golden_section(ops, lo, hi, tol=1e-10):
-    def f(y):
-        try:
-            return distortion_of_y(ops, y)
-        except MinrectError:
-            return float("inf")
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol * (1.0 + abs(lo) + abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    best = min(((f1, x1), (f2, x2)))
-    return best[1], best[0]
+    lo, hi = y_lo, y_hi
+    while True:
+        ys = np.linspace(lo, hi, samples)
+        vals = reference_many(ops, ys)
+        if not np.any(np.isfinite(vals)):
+            raise EmptyDomain("every sample is pole-excluded")
+        i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
+        lo = float(ys[max(i - 1, 0)])
+        hi = float(ys[min(i + 1, samples - 1)])
+        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+            return ys[i], vals[i]
+        samples = 1001
 
 
 def assert_scan_same_as_reference(ops, y_lo, y_hi, samples=200_001):
@@ -185,6 +162,30 @@ def test_scan_raises_empty_domain_inside_an_exclusion_zone(rig_d):
         for fn in (scan_minimize, reference_scan):
             with pytest.raises(EmptyDomain):
                 fn(ops, p - half, p + half, 1001)
+
+
+def test_scan_over_overflowing_samples_finds_the_minimum_without_a_warning(rig_d):
+    """Above about 1e154 the quadratic forms overflow; those samples read +inf."""
+    ops = operand_matrices(rig_d)
+    direct = assemble(rig_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, d = scan_minimize(ops, 0.0, 1e300)
+    assert y == pytest.approx(direct.y1_star, rel=1e-6)
+    assert d == pytest.approx(direct.distortion, rel=1e-9)
+
+
+def test_scan_takes_integer_bounds_as_floats(rig_d):
+    ops = operand_matrices(rig_d)
+    assert scan_minimize(ops, 0, 10**300) == scan_minimize(ops, 0.0, 1e300)
+
+
+def test_scan_stops_without_a_warning_where_its_tolerance_overflows():
+    """A flat metric over (1e308, 1.7e308): |lo| + |hi| is beyond the float range."""
+    ops = rational_ops((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scan_minimize(ops, 1e308, 1.7e308, 1001) == (1e308, 2.0)
 
 
 def test_degenerate_rig_zero_is_frontoparallel():

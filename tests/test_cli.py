@@ -14,6 +14,7 @@ from conftest import A_LEFT, make_camera, rot_y
 from minrect.geometry import StereoRig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "rig_d_rectify.json")
+DUMP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "rig_d_dump_quartic.txt")
 
 
 def write_rig(tmp_path, rig, name="calib.json"):
@@ -72,6 +73,13 @@ def test_rectify_dump_quartic(tmp_path, rig_d_path, capsys):
     assert len(dump["m"]) == 8
     assert len(dump["coeffs"]) == 5
     assert len(dump["roots"]) >= 1
+
+
+def test_rectify_dump_quartic_matches_golden(tmp_path, rig_d_path, capsysbinary):
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", rig_d_path, "-o", out, "--dump-quartic"]) == 0
+    with open(DUMP_GOLDEN, "rb") as f:
+        assert capsysbinary.readouterr().out == f.read()
 
 
 def test_evaluate_y1_matches_rectify(tmp_path, rig_d_path, capsys):

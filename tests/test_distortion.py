@@ -410,6 +410,14 @@ def test_many_matches_reference_on_nonfinite_samples(rig_d):
         assert_same_as_reference(ops, ys)
 
 
+def test_many_reads_overflowing_samples_as_inf_without_a_warning(rig_d):
+    ops = operand_matrices(rig_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distortion_of_y_many(ops, [1e200, -1e300])
+    assert got.tolist() == [math.inf, math.inf]
+
+
 def test_many_is_finite_or_plus_inf_on_finite_samples():
     """scan_minimize takes the least sample without a finiteness mask: no finite
     sample may come out as NaN or -inf."""

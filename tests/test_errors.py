@@ -43,6 +43,7 @@ REFUSALS = {
     "scan y_lo NaN": lambda rig: scan_minimize(operand_matrices(rig), math.nan, 1.0),
     "scan y_hi NaN": lambda rig: scan_minimize(operand_matrices(rig), 0.0, math.nan),
     "scan span overflows": lambda rig: scan_minimize(operand_matrices(rig), -1e308, 1e308),
+    "scan bound beyond float": lambda rig: scan_minimize(operand_matrices(rig), 0, 10**400),
     "image channels": lambda rig: ImageBuffer(width=1, height=1, channels=2,
                                               data=np.zeros((1, 1, 2), dtype=np.uint8)),
     "image shape": lambda rig: ImageBuffer(width=2, height=1, channels=1,
