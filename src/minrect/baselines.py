@@ -22,7 +22,7 @@ from .distortion import (
     operand_matrices,
 )
 from .errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
-from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rot_x
+from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rotation
 from .rectify import RectifiedPair, assemble, complete_homographies
 
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
@@ -94,7 +94,7 @@ def degenerate_rig(a: float, theta_x: float) -> StereoRig:
     A, (w, h) = DEFAULT_INTRINSICS, DEFAULT_SIZE
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=w, height=h)
     o2 = np.array([1.0, a, a * math.tan(theta_x)])
-    R2 = rot_x(theta_x).T  # world->camera map of a body rotated by theta_x
+    R2 = rotation((1.0, 0.0, 0.0), theta_x).T  # world->camera map of a body rotated by theta_x
     cam2 = Camera(A=A, R=R2, t=-R2 @ o2, width=w, height=h)
     return StereoRig(cam1, cam2)
 
@@ -141,8 +141,7 @@ def random_rig(rng: np.random.Generator, max_angle: float = math.pi / 3) -> Ster
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    K = cross_matrix(axis)
-    R2 = np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+    R2 = rotation(axis, angle)
     o2 = rng.normal(size=3)
     o2 /= np.linalg.norm(o2)
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=w, height=h)

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import baselines, serialize, synth
 from .distortion import distortion_of_w, distortion_of_y, operand_matrices
-from .errors import InputError, InvalidCalibration, MinrectError, SingularHomography
+from .errors import (InputError, InvalidArgument, InvalidCalibration, MinrectError,
+                     SingularHomography)
 from .geometry import load_calibration, load_json, rig_to_dict
 from .quartic import quartic_coefficients, solve_quartic
 from .rectify import assemble
@@ -76,7 +77,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_warp(args) -> int:
     img = read_pnm(args.image)
     data = load_json(args.homography)
-    H = _homography(data, "H" if "H" in data else f"H{args.use}")
+    if "H" in data and args.use is not None:
+        raise InvalidArgument("--use picks H1 or H2 of a rectify output; this file holds H")
+    H = _homography(data, "H" if "H" in data else f"H{args.use or 1}")
     size = (args.width, args.height)
     if size == (None, None):
         size = data.get("output_size", (img.width, img.height))
@@ -144,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("homography")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--use", type=int, choices=(1, 2), default=1,
-                   help="which homography of a rectify output to apply")
+    p.add_argument("--use", type=int, choices=(1, 2),
+                   help="which homography of a rectify output to apply (default 1)")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.set_defaults(fn=_cmd_warp)

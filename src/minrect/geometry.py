@@ -116,16 +116,10 @@ def cross_matrix(v) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
-def rot_x(theta: float) -> np.ndarray:
-    """Rotation by ``theta`` about the x axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(theta: float) -> np.ndarray:
-    """Rotation by ``theta`` about the y axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rotation(axis, angle: float) -> np.ndarray:
+    """Rotation by ``angle`` about the unit vector ``axis`` (Rodrigues' formula)."""
+    K = cross_matrix(axis)
+    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
 def normalize_matrix(F: np.ndarray) -> np.ndarray:
@@ -161,12 +155,6 @@ def project(cam: Camera, X) -> np.ndarray:
     """Project a world point; homogeneous pixel coordinates, unnormalised."""
     X = np.asarray(X, dtype=float)
     return cam.A @ (cam.R @ X + cam.t)
-
-
-def is_in_front(cam: Camera, X) -> bool:
-    """Whether the point has positive depth in the camera."""
-    X = np.asarray(X, dtype=float)
-    return float((cam.R @ X + cam.t)[2]) > 0.0
 
 
 def camera_from_dict(d: dict) -> Camera:

@@ -204,6 +204,31 @@ def test_warp_size_flags_applied(warp_inputs):
     assert (read_pnm(out).width, read_pnm(out).height) == (3, 2)
 
 
+@pytest.mark.parametrize("use", ["1", "2"])
+def test_warp_refuses_use_with_a_file_that_holds_h(warp_inputs, tmp_path, capsys, use):
+    src, _, out = warp_inputs
+    hpath = tmp_path / "h_and_h2.json"
+    hpath.write_text(json.dumps({"H": np.eye(3).tolist(), "H2": (2 * np.eye(3)).tolist()}))
+    assert main(["warp", src, str(hpath), "-o", out, "--use", use]) == 2
+    assert "--use" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_warp_without_use_applies_h_else_h1(tmp_path):
+    from minrect.warp import from_array, read_pnm, write_pnm
+
+    img = from_array(np.arange(20, dtype=np.uint8).reshape(4, 5))
+    src, out = str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm")
+    write_pnm(img, src)
+    shift = np.eye(3)
+    shift[0, 2] = 1.0  # H2 would move the image one column right
+    for name, data in (("h.json", {"H": np.eye(3).tolist(), "H2": shift.tolist()}),
+                       ("h1.json", {"H1": np.eye(3).tolist(), "H2": shift.tolist()})):
+        (tmp_path / name).write_text(json.dumps(data))
+        assert main(["warp", src, str(tmp_path / name), "-o", out]) == 0
+        assert np.array_equal(read_pnm(out).data, img.data)
+
+
 def test_warp_rejects_list_root(warp_inputs, tmp_path):
     src, _, out = warp_inputs
     hpath = tmp_path / "list.json"

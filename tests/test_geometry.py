@@ -1,4 +1,6 @@
 """Camera model, fundamental matrix and epipolar geometry."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from minrect.errors import InvalidCalibration, InvalidCamera, InvalidRig
 from minrect.geometry import (
     Camera,
     StereoRig,
+    cross_matrix,
     epipoles,
     fundamental_matrix,
     load_calibration,
@@ -13,6 +16,7 @@ from minrect.geometry import (
     optical_center,
     project,
     rig_to_dict,
+    rotation,
 )
 
 from conftest import A_LEFT, make_camera, rot_y, visible_points
@@ -219,3 +223,56 @@ def test_epipolar_line_of_second_epipole_is_zero(rig_d):
     F = fundamental_matrix(rig_d)
     _, e2 = epipoles(rig_d)
     assert np.linalg.norm(F.T @ e2) <= 1e-9
+
+
+# --- rotation: the one rotation helper ----------------------------------------------
+
+def old_rot_x(theta: float) -> np.ndarray:
+    """Verbatim copy of the deleted ``geometry.rot_x``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def old_rot_y(theta: float) -> np.ndarray:
+    """Verbatim copy of the deleted ``geometry.rot_y``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def test_rotation_matches_the_old_axis_rotations_bit_for_bit():
+    """Where cos(angle) >= 1/2, 1 - (1 - cos) is exactly cos, so Rodrigues' formula
+    rounds like the explicit matrices. (At an angle of exactly 0 the old -sin entry
+    was -0.0; rotation gives +0.0 there.)"""
+    rng = np.random.default_rng(15)
+    angles = [-math.pi / 3, math.pi / 3, *rng.uniform(-math.pi / 3, math.pi / 3, 2000)]
+    for theta in angles:
+        assert rotation((1.0, 0.0, 0.0), theta).tobytes() == old_rot_x(theta).tobytes()
+        assert rotation((0.0, 1.0, 0.0), theta).tobytes() == old_rot_y(theta).tobytes()
+
+
+def test_random_rig_rotation_matches_the_old_inline_formula_bit_for_bit():
+    from minrect.baselines import random_rig
+
+    rng, mirror = np.random.default_rng(16), np.random.default_rng(16)
+    for _ in range(1000):
+        rig = random_rig(rng)
+        axis = mirror.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = mirror.uniform(0.0, math.pi / 3)
+        mirror.normal(size=3)  # the baseline direction
+        K = cross_matrix(axis)
+        R2 = np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+        assert rig.cam2.R.tobytes() == R2.tobytes()
+
+
+@pytest.mark.parametrize("max_angle, tol", [(math.pi / 2, 1e-15), (math.pi, 4e-15)])
+def test_rotation_is_orthonormal_with_determinant_one(max_angle, tol):
+    """Rounding grows with 1 - cos: up to a quarter turn, both residuals stay
+    within 1e-15; on the full turn they reach about 2.5e-15."""
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        R = rotation(axis, rng.uniform(-max_angle, max_angle))
+        assert np.linalg.norm(R.T @ R - np.eye(3)) <= tol
+        assert abs(np.linalg.det(R) - 1.0) <= tol

@@ -67,6 +67,17 @@ def test_synth_correspondences_skip_markers_behind_a_camera():
     assert correspondences(StereoRig(rig.cam1, away)).size == 0
 
 
+def test_synth_correspondences_keep_four_columns_when_no_marker_is_shared():
+    """Camera 2 of synth_rig(0) turned half a turn about its own y axis: every marker is
+    behind it, and mirrored through its center some would land inside the image."""
+    rig = synth_rig(0)
+    turn = np.diag([-1.0, 1.0, -1.0])
+    cam2 = rig.cam2
+    away = Camera(A=cam2.A, R=turn @ cam2.R, t=turn @ cam2.t, width=cam2.width,
+                  height=cam2.height)
+    assert correspondences(StereoRig(rig.cam1, away)).shape == (0, 4)
+
+
 def test_warp_round_trip_interior():
     """H then H^-1 reproduces interior pixels within interpolation loss."""
     xs, ys = np.meshgrid(np.arange(96), np.arange(96), indexing="xy")
