@@ -21,9 +21,9 @@ from .distortion import (
     moment_matrices,
     operand_matrices,
 )
-from .errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
+from .errors import DegenerateOrientation, DegenerateZ, EmptyDomain, InvalidArgument, MinrectError
 from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rotation
-from .rectify import RectifiedPair, assemble, complete_homographies
+from .rectify import RectifiedPair, assemble, complete_homographies, orientation
 
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
 DEFAULT_SIZE = (640, 480)
@@ -33,15 +33,10 @@ SCAN_GAP_LIMIT = 1e-9  # relative excess of the closed form over the scan that c
 
 def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     """Baseline: rectifying plane fixed by camera 1's old optical axis."""
-    x_hat = rig.x_hat
-    axis1 = rig.cam1.axis
-    y_dir = np.cross(axis1, x_hat)
-    ny = np.linalg.norm(y_dir)
-    if ny <= 1e-12:
-        raise DegenerateOrientation("camera-1 axis is parallel to the baseline")
-    y_hat = y_dir / ny
-    z_hat = np.cross(x_hat, y_hat)
-    Rnew = np.vstack([x_hat, y_hat, z_hat])
+    try:
+        Rnew = orientation(rig, rig.cam1.axis)
+    except DegenerateZ as exc:
+        raise DegenerateOrientation("camera-1 axis is parallel to the baseline") from exc
     w1 = Rnew[2, :] @ rig.cam1.projection_inv
     w2 = Rnew[2, :] @ rig.cam2.projection_inv
     dist = distortion_of_w(w1, w2, moment_matrices(rig.cam1.width, rig.cam1.height),

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import baselines, serialize, synth
-from .distortion import distortion_of_w, distortion_of_y, operand_matrices
+from .distortion import distortion_of_w, distortion_of_y, moment_matrices, operand_matrices
 from .errors import (InputError, InvalidArgument, InvalidCalibration, MinrectError,
                      SingularHomography)
 from .geometry import load_calibration, load_json, rig_to_dict
@@ -63,13 +63,13 @@ def _extract_w(H: np.ndarray) -> np.ndarray:
 
 def _cmd_evaluate(args) -> int:
     rig = load_calibration(args.calibration)
-    ops = operand_matrices(rig)
     if args.y1 is not None:
-        value = distortion_of_y(ops, args.y1)
-    else:
+        value = distortion_of_y(operand_matrices(rig), args.y1)
+    else:  # needs only the image sizes, not A*R
         data = load_json(args.homographies)
         w1, w2 = (_extract_w(_homography(data, key)) for key in ("H1", "H2"))
-        value = distortion_of_w(w1, w2, ops.moments1, ops.moments2)
+        moments = (moment_matrices(cam.width, cam.height) for cam in (rig.cam1, rig.cam2))
+        value = distortion_of_w(w1, w2, *moments)
     print(_format_distortion(value))
     return 0
 

@@ -189,7 +189,7 @@ _BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay i
 
 def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     """Vectorised evaluation; a sample next to a pole, or one at which a
-    numerator's quadratic form overflows, comes out as +inf.
+    numerator's or a denominator's quadratic form overflows, comes out as +inf.
 
     Runs over blocks of ``_BLOCK`` samples through one set of buffers, so that
     beyond its output it needs a fixed amount of memory, whatever the size of ``ys``.
@@ -201,12 +201,12 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     zones = _exclusion_zones(ops)
     size = min(flat_ys.size, _BLOCK)
     num, den, tmp = np.empty(size), np.empty(size), np.empty(size)
-    bad = np.empty(size, dtype=bool)
+    bad, over = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for start in range(0, flat_ys.size, _BLOCK):
         y = flat_ys[start:start + _BLOCK]
         total = flat_out[start:start + _BLOCK]
         k = y.size
-        nu, de, t, b = num[:k], den[:k], tmp[:k], bad[:k]
+        nu, de, t, b, o = num[:k], den[:k], tmp[:k], bad[:k], over[:k]
         total.fill(0.0)
         # distortion_of_y's arithmetic, in its order, written in place
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -219,10 +219,12 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
                 de += d1
                 de *= y
                 de += d0
-                np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1)
+                np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1) or den == +inf
                 np.maximum(t, 1.0, out=t)
                 t *= 1e-15
                 np.less_equal(de, t, out=b)
+                np.equal(de, np.inf, out=o)
+                b |= o
                 np.divide(nu, de, out=t)
                 np.copyto(t, np.inf, where=b)
                 total += t

@@ -40,25 +40,27 @@ class RectifiedPair:
     output_size: tuple  # (width, height) of the union canvas
 
 
-def new_orientation(rig: StereoRig, y1: float) -> np.ndarray:
+def orientation(rig: StereoRig, direction: np.ndarray) -> np.ndarray:
     """Read-only rotation whose rows are the new axes in WCS: x follows the
-    baseline and the horizon passes through the y-intercept ``y1`` on image 1."""
+    baseline and z is the component of ``direction`` orthogonal to it, turned
+    toward camera 1's axis; ``DegenerateZ`` when that component vanishes."""
     x_hat = rig.x_hat
-    u = np.array([0.0, float(y1), 1.0])
-    # The intercept ray direction from the first center, minus its baseline
-    # component.  The direction is (A1 R1)^-1 u, solved rather than taken from
-    # projection_inv: the two differ in the last bits, and the golden outputs
-    # are those of the solve.
-    dir1 = np.linalg.solve(rig.cam1.projection, u)
-    z = dir1 - x_hat * float(x_hat @ dir1)
+    z = direction - x_hat * float(x_hat @ direction)
     nz = np.linalg.norm(z)
     if nz <= 1e-12:
         raise DegenerateZ("horizon ray is parallel to the baseline")
     z_hat = z / nz
     if float(z_hat @ rig.cam1.axis) < 0.0:
         z_hat = -z_hat
-    y_hat = np.cross(z_hat, x_hat)
-    return read_only(np.vstack([x_hat, y_hat, z_hat]))
+    return read_only(np.vstack([x_hat, np.cross(z_hat, x_hat), z_hat]))
+
+
+def new_orientation(rig: StereoRig, y1: float) -> np.ndarray:
+    """``orientation`` whose horizon passes through the y-intercept ``y1`` on image 1."""
+    # The intercept ray is (A1 R1)^-1 (0, y1, 1), solved rather than taken from
+    # projection_inv: the two differ in the last bits, and the golden outputs
+    # are those of the solve.
+    return orientation(rig, np.linalg.solve(rig.cam1.projection, np.array([0.0, float(y1), 1.0])))
 
 
 def _map_point(H: np.ndarray, x: float, y: float) -> np.ndarray:
@@ -97,7 +99,7 @@ def joint_fit(H1_pre: np.ndarray, H2_pre: np.ndarray,
     """Shared uniform scale and vertical offset, per-image horizontal offsets.
 
     Returns (fit1, fit2, (out_width, out_height)); both output canvases get
-    the same height so scanlines stay in one-to-one correspondence.
+    the taller image's height so scanlines stay in one-to-one correspondence.
     """
     quads = []
     for H, (width, height) in ((H1_pre, size1), (H2_pre, size2)):
@@ -105,8 +107,8 @@ def joint_fit(H1_pre: np.ndarray, H2_pre: np.ndarray,
     ymin = min(q[:, 1].min() for q in quads)
     ymax = max(q[:, 1].max() for q in quads)
     extent = ymax - ymin
-    target = float(max(size1[1], size2[1]) - 1)
-    scale = target / extent if extent > 0 else 1.0
+    out_h = max(size1[1], size2[1])
+    scale = float(out_h - 1) / extent if extent > 0 else 1.0
     ty = -scale * ymin
     fits = []
     widths = []
@@ -114,8 +116,7 @@ def joint_fit(H1_pre: np.ndarray, H2_pre: np.ndarray,
         tx = -scale * q[:, 0].min()
         fits.append(np.array([[scale, 0.0, tx], [0.0, scale, ty], [0.0, 0.0, 1.0]]))
         widths.append(int(math.ceil(scale * (q[:, 0].max() - q[:, 0].min()))) + 1)
-    out_h = int(math.ceil(scale * extent)) + 1
-    return fits[0], fits[1], (max(widths), out_h)
+    return fits[0], fits[1], (max(widths), out_h if extent > 0 else 1)
 
 
 def _stage(name, fn, *args):

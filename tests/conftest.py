@@ -2,17 +2,7 @@
 import numpy as np
 import pytest
 
-from minrect.geometry import Camera, StereoRig
-
-
-def rot_y(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_x(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+from minrect.geometry import Camera, StereoRig, rotation
 
 
 def make_camera(A, R, center, width=640, height=480) -> Camera:
@@ -31,7 +21,7 @@ A_RIGHT = np.array([[760.0, 0.0, 310.0], [0.0, 770.0, 250.0], [0.0, 0.0, 1.0]])
 def rig_d() -> StereoRig:
     """Mildly verged rig: right camera yawed 10 degrees, unit baseline."""
     cam1 = make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0))
-    cam2 = make_camera(A_RIGHT, rot_y(np.radians(10.0)), (1.0, 0.0, 0.0))
+    cam2 = make_camera(A_RIGHT, rotation((0.0, 1.0, 0.0), np.radians(10.0)), (1.0, 0.0, 0.0))
     return StereoRig(cam1=cam1, cam2=cam2)
 
 

@@ -21,12 +21,7 @@ from minrect.distortion import (
     operand_matrices,
     pixel_sum_distortion,
 )
-from minrect.geometry import (
-    StereoRig,
-    fundamental_matrix,
-    normalize_matrix,
-    project,
-)
+from minrect.geometry import StereoRig, project
 from minrect.quartic import (
     QuarticProblem,
     quartic_coefficients,
@@ -36,22 +31,13 @@ from minrect.quartic import (
 from minrect.rectify import assemble
 
 from conftest import A_LEFT, make_camera, visible_points
-
-FBAR = normalize_matrix(np.array([[0.0, 0.0, 0.0],
-                                  [0.0, 0.0, -1.0],
-                                  [0.0, 1.0, 0.0]]))
+from test_rectify import rectified_residual
 
 
 def report(number: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:2d}: {status} — {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def rect_residual(rig: StereoRig, pair) -> float:
-    F = fundamental_matrix(rig)
-    Fr = normalize_matrix(np.linalg.inv(pair.H2).T @ F @ np.linalg.inv(pair.H1))
-    return min(np.linalg.norm(Fr - FBAR), np.linalg.norm(Fr + FBAR))
 
 
 def alignment_residual(rig: StereoRig, pair, rng, n: int) -> float:
@@ -80,7 +66,7 @@ def test_criterion_1_rectified_form():
     worst = 0.0
     for _ in range(500):
         rig = random_rig(rng)
-        worst = max(worst, rect_residual(rig, assemble(rig)))
+        worst = max(worst, rectified_residual(rig, assemble(rig)))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-7 and elapsed <= 30.0,
            f"max residual {worst:.3e} (≤1e-7), runtime {elapsed:.1f}s (≤30s)")
@@ -174,7 +160,7 @@ def test_criterion_7_degenerate_family():
         for theta in np.round(np.arange(0.1, 1.21, 0.1), 10):
             rig = degenerate_rig(float(a), float(theta))
             pair = assemble(rig)
-            worst_form = max(worst_form, rect_residual(rig, pair))
+            worst_form = max(worst_form, rectified_residual(rig, pair))
             worst_align = max(worst_align, alignment_residual(rig, pair, rng, 20))
             worst_gap = max(worst_gap, scan_gap(rig, pair))
             pd_all_false &= not pd_probe(rig)

@@ -70,13 +70,13 @@ def test_scan_agrees_with_closed_form(rig_d):
 
 def test_scan_skips_poles():
     """Scanning a window containing a pole still brackets the minimum."""
-    from conftest import A_LEFT, make_camera, rot_x
+    from conftest import A_LEFT, make_camera
     from minrect.distortion import distortion_of_y, is_admissible, poles
-    from minrect.geometry import StereoRig
+    from minrect.geometry import StereoRig, rotation
 
     # pitch camera 1 so the distortion pole falls inside a modest y-range
-    cam1 = make_camera(A_LEFT, rot_x(0.5), (0.0, 0.0, 0.0))
-    cam2 = make_camera(A_LEFT, rot_x(0.3), (1.0, 0.1, 0.0))
+    cam1 = make_camera(A_LEFT, rotation((1.0, 0.0, 0.0), 0.5), (0.0, 0.0, 0.0))
+    cam2 = make_camera(A_LEFT, rotation((1.0, 0.0, 0.0), 0.3), (1.0, 0.1, 0.0))
     ops = operand_matrices(StereoRig(cam1=cam1, cam2=cam2))
     p1, _ = poles(ops)
     half = 0.1 * (1.0 + abs(p1))

@@ -10,7 +10,7 @@ from minrect.cli import main
 from minrect.geometry import rig_to_dict
 from minrect import serialize
 
-from conftest import A_LEFT, make_camera, rot_y
+from conftest import A_LEFT, make_camera
 from minrect.geometry import StereoRig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "rig_d_rectify.json")
@@ -98,6 +98,20 @@ def test_evaluate_homographies_affine_zero(tmp_path, rig_d_path, capsys):
     hpath.write_text(json.dumps({"H1": eye, "H2": eye}))
     assert main(["evaluate", rig_d_path, "--homographies", str(hpath)]) == 0
     assert capsys.readouterr().out.strip() == "0.000000"
+
+
+def test_evaluate_homographies_needs_only_the_image_sizes(tmp_path, capsys):
+    """A*R of camera 2 is singular within the conditioning bound, which the
+    metric of given homographies never reads."""
+    A2 = A_LEFT.copy()
+    A2[1, 1] = 1e-9
+    rig = StereoRig(make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0)),
+                    make_camera(A2, np.eye(3), (1.0, 0.0, 0.0)))
+    hpath = tmp_path / "h.json"
+    eye = np.eye(3).tolist()
+    hpath.write_text(json.dumps({"H1": eye, "H2": eye}))
+    assert main(["evaluate", write_rig(tmp_path, rig), "--homographies", str(hpath)]) == 0
+    assert capsys.readouterr().out == "0.000000\n"
 
 
 def test_evaluate_non_normalisable(tmp_path, rig_d_path):

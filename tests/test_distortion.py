@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minrect import distortion
-from minrect.baselines import random_rig
+from minrect.baselines import random_rig, scan_minimize
 from minrect.distortion import (
     DistortionOperands,
     _exclusion_half_width,
@@ -416,6 +416,21 @@ def test_many_reads_overflowing_samples_as_inf_without_a_warning(rig_d):
         warnings.simplefilter("error")
         got = distortion_of_y_many(ops, [1e200, -1e300])
     assert got.tolist() == [math.inf, math.inf]
+
+
+def test_many_reads_a_sample_whose_denominator_alone_overflows_as_inf():
+    """y²/(1e10·y² + 1) is least at y = 1. From y ≈ 1.3e149 its denominator
+    overflows while its numerator does not; read as 0, such a sample would be
+    the scan's minimum."""
+    ops = rational_ops((1.0, 0.0, 0.0), (1e10, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distortion_of_y_many(ops, [1e100, 1e150, 1e160])
+        y, d = scan_minimize(ops, 1.0, 1e160)
+    assert got[0] == pytest.approx(1e-10, rel=1e-15)
+    assert got[1:].tolist() == [math.inf, math.inf]
+    assert y == pytest.approx(1.0, abs=1e-6)
+    assert d == pytest.approx(1.0 / (1e10 + 1.0), rel=1e-9)
 
 
 def test_many_is_finite_or_plus_inf_on_finite_samples():

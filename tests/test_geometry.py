@@ -19,7 +19,7 @@ from minrect.geometry import (
     rotation,
 )
 
-from conftest import A_LEFT, make_camera, rot_y, visible_points
+from conftest import A_LEFT, make_camera, visible_points
 
 
 def test_optical_center_identity():

@@ -23,7 +23,7 @@ from minrect.quartic import (
     solve_quartic,
 )
 
-from conftest import A_LEFT, make_camera, rot_y
+from conftest import A_LEFT, make_camera
 from minrect.geometry import StereoRig
 from minrect.rectify import assemble
 from test_acceptance import scan_gap

@@ -1,10 +1,11 @@
 """Homography assembly: orientation, shear, joint fitting, end-to-end checks."""
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from minrect.baselines import random_rig
+from minrect.baselines import fusiello_rectify, random_rig
 from minrect.distortion import distortion_of_y, is_admissible, operand_matrices, w_from_y
 from minrect.errors import CollapsedMidlines, DegenerateZ
 from minrect.geometry import StereoRig, fundamental_matrix, epipoles, normalize_matrix, project
@@ -14,6 +15,7 @@ from minrect.rectify import (
     new_orientation,
     shear_similarity,
 )
+from minrect.synth import synth_rig
 
 from conftest import A_LEFT, make_camera, visible_points
 
@@ -134,6 +136,18 @@ def test_joint_fit_preserves_alignment(rig_d):
         q2 = pair.H2 @ (p2 / p2[2])
         dys.append(q1[1] / q1[2] - q2[1] / q2[2])
     assert np.abs(dys).max() <= 1e-9
+
+
+def test_canvas_height_is_the_taller_image_height():
+    """The fit maps the union's vertical extent onto max(h1, h2) - 1 row
+    spacings, so the canvas is max(h1, h2) rows, with no empty bottom row where
+    scale * extent rounds up."""
+    rng = np.random.default_rng(5)
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(200)]
+    rigs += [synth_rig(seed) for seed in range(60)]
+    for rig in rigs:
+        for fn in (assemble, fusiello_rectify):
+            assert fn(rig).output_size[1] == max(rig.cam1.height, rig.cam2.height)
 
 
 # --- assemble -----------------------------------------------------------------

@@ -18,11 +18,12 @@ from minrect.cli import main
 from minrect.baselines import scan_minimize
 from minrect.distortion import distortion_of_y_many, is_admissible, operand_matrices, poles
 from minrect.errors import DegenerateC, PipelineError
-from minrect.geometry import Camera, StereoRig, cross_matrix, rig_to_dict
+from minrect.geometry import Camera, StereoRig, rig_to_dict, rotation
 from minrect.quartic import quartic_coefficients
 from minrect.rectify import assemble
 
-from test_acceptance import alignment_residual, rect_residual, scan_gap
+from test_acceptance import alignment_residual, scan_gap
+from test_rectify import rectified_residual
 
 A_800 = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
 SIZES = ((64, 48), (160, 120), (320, 240), (640, 480), (1280, 720),
@@ -57,11 +58,6 @@ DRAW_2087 = two_cameras(
     (0.866917431789777, 0.48690146183898636, 0.1066823927275506), 640, 480)
 
 
-def rotation(axis, angle) -> np.ndarray:
-    K = cross_matrix(axis)
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
 def near_rectified_head(rng: np.random.Generator) -> StereoRig:
     """Relative rotation up to 3 degrees, baseline within about 3 degrees of x,
     a shared focal length in [0.6, 1.6] w with 2 % per camera, principal
@@ -88,7 +84,7 @@ def check_rectifies(rig: StereoRig, rng: np.random.Generator, points: int) -> No
         warnings.simplefilter("error", RuntimeWarning)
         pair = assemble(rig)
     assert scan_gap(rig, pair) <= 1e-9
-    assert rect_residual(rig, pair) <= 1e-7
+    assert rectified_residual(rig, pair) <= 1e-7
     assert alignment_residual(rig, pair, rng, points) <= 1e-6
 
 
