@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 ``InputError``, 3 any other ``MinrectError``, 4 ``OSError``.
+Exit codes: 0 success, 1 ``stress`` ran and listed failures, 2 ``InputError``,
+3 any other ``MinrectError``, 4 ``OSError``.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ def _cmd_stress(args) -> int:
     report = baselines.stress(args.trials, args.seed)
     serialize.write_json(args.output, report.to_dict())
     print(f"direct_successes {report.direct_successes}/{report.trials}")
-    return 0
+    return 1 if report.failures else 0
 
 
 def _cmd_synth(args) -> int:

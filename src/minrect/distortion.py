@@ -146,40 +146,29 @@ def is_admissible(ops: DistortionOperands, y1: float) -> bool:
 
 def _rational_terms(ops: DistortionOperands):
     """Quadratic numerator/denominator coefficient triples for both terms."""
-    out = []
-    for M, C in ((ops.M1, ops.C1), (ops.M2, ops.C2)):
-        out.append(
-            (
-                (M[1, 1], 2.0 * M[1, 2], M[2, 2]),
-                (C[1, 1], 2.0 * C[1, 2], C[2, 2]),
-            )
-        )
-    return out
-
-
-def _metric_of_y(terms, y: float):
-    """The metric at ``y`` from ``_rational_terms``; None at a pole."""
-    total = 0.0
-    for (n2, n1, n0), (d2, d1, d0) in terms:
-        num = (n2 * y + n1) * y + n0
-        den = (d2 * y + d1) * y + d0
-        if den <= 1e-15 * max(abs(num), 1.0):
-            return None
-        total += num / den
-    return total
+    return [((M[1, 1], 2.0 * M[1, 2], M[2, 2]), (C[1, 1], 2.0 * C[1, 2], C[2, 2]))
+            for M, C in ((ops.M1, ops.C1), (ops.M2, ops.C2))]
 
 
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
-    """The metric as a function of the horizon intercept on image 1, a finite y1
-    at which the quadratic forms do not overflow."""
+    """The metric as a function of the horizon intercept on image 1, defined
+    exactly where ``distortion_of_y_many`` reads it finite: ``InvalidArgument``
+    where y1 is not finite or a quadratic form overflows, ``PoleAtY`` where a
+    denominator vanishes or y1 lies in a pole's exclusion zone."""
     if not math.isfinite(y1):
         raise InvalidArgument(f"y1 must be finite, got {y1!r}")
+    y, total = float(y1), 0.0
     try:
         with np.errstate(over="raise"):
-            total = _metric_of_y(_rational_terms(ops), float(y1))
+            for (n2, n1, n0), (d2, d1, d0) in _rational_terms(ops):
+                num = (n2 * y + n1) * y + n0
+                den = (d2 * y + d1) * y + d0
+                if den <= 1e-15 * max(abs(num), 1.0):
+                    raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
+                total += num / den
     except FloatingPointError as exc:
         raise InvalidArgument(f"y1={y1!r} overflows the distortion function") from exc
-    if total is None:
+    if not is_admissible(ops, y):
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total
 

@@ -47,7 +47,7 @@ class AllCoefficientsZero(MinrectError):
 
 
 class NoAdmissibleRoot(MinrectError):
-    """No real stationary point, or every real one is pole-adjacent."""
+    """No real stationary point, or every real one is pole-adjacent or overflows."""
 
 
 class DegenerateZ(MinrectError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionOperands, _metric_of_y, _rational_terms, is_admissible
-from .errors import AllCoefficientsZero, DegenerateC, NoAdmissibleRoot
+from .distortion import DistortionOperands, distortion_of_y
+from .errors import AllCoefficientsZero, DegenerateC, InvalidArgument, NoAdmissibleRoot, PoleAtY
 
 _OMEGA = complex(-0.5, np.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
@@ -217,17 +217,17 @@ def solve_quartic(problem: QuarticProblem) -> RootSet:
 
 def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
                    roots: RootSet) -> tuple[float, float]:
-    """Pick the admissible stationary point with the least distortion.
+    """Pick the stationary point with the least distortion.
 
-    Ties break toward smaller |y1|; ``problem`` is not read.  A root whose
-    denominator vanishes (a multiple root polished onto a pole neighbourhood)
-    is skipped: the function diverges there, so it is never the minimum.
+    Ties break toward smaller |y1|; ``problem`` is not read.  A root at which
+    ``distortion_of_y`` refuses (next to a pole, where the function diverges, or
+    where a quadratic form overflows) is skipped, as the scan skips its +inf samples.
     """
-    terms = _rational_terms(ops)
     best = None
     for r in roots.roots:
-        d = _metric_of_y(terms, float(r)) if is_admissible(ops, r) else None
-        if d is None:
+        try:
+            d = distortion_of_y(ops, r)
+        except (PoleAtY, InvalidArgument):
             continue
         key = (d, abs(r))
         if best is None or key < best[0]:
@@ -235,5 +235,5 @@ def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
     if best is None:
         if not roots.roots:
             raise NoAdmissibleRoot("no real stationary point")
-        raise NoAdmissibleRoot("every real stationary point is pole-adjacent")
+        raise NoAdmissibleRoot("every real stationary point is pole-adjacent or overflows")
     return best[1], best[2]

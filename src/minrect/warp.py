@@ -206,10 +206,10 @@ def warp_image(img: ImageBuffer, H: np.ndarray, out_w: int, out_h: int) -> Image
 
 
 # Netpbm header after the magic: width, height and maxval, each preceded by
-# whitespace and '#' comments that run to the end of the line.  The lookaheads
-# keep backtracking from ending a comment or a field early (Python 3.10 has no
-# possessive quantifiers); a group is None when the header ends before its field.
-_HEADER = re.compile(rb"P[56]" + rb"(?:(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S))?" * 3)
+# whitespace and '#' comments that run to the end of the line.  The skip cannot
+# fail, so it never backtracks, and it stops only at a field or the end of the file.
+_SKIP = re.compile(rb"(?:\s+|#[^\r\n]*)*")
+_FIELD = re.compile(rb"\S+")
 
 
 def read_pnm(path) -> ImageBuffer:
@@ -221,14 +221,18 @@ def read_pnm(path) -> ImageBuffer:
     channels = {b"P5": 1, b"P6": 3}.get(raw[:2])
     if channels is None:
         raise MalformedHeader(f"unsupported magic {raw[:2]!r}")
-    header = _HEADER.match(raw)  # at offset 0 of raw: no copy of the file
-    if header[3] is None:
-        raise MalformedHeader("truncated header")
-    offset = header.end() + 1  # past the one whitespace byte that ends maxval
+    fields, end = [], 2
+    for _ in range(3):  # matched in place: no copy of the file
+        field = _FIELD.match(raw, _SKIP.match(raw, end).end())
+        if field is None:
+            raise MalformedHeader("truncated header")
+        fields.append(field[0])
+        end = field.end()
+    offset = end + 1  # past the one whitespace byte that ends maxval
     if offset > len(raw):
         raise MalformedHeader("missing pixel data")
     try:
-        width, height, maxval = (int(t) for t in header.groups())
+        width, height, maxval = (int(t) for t in fields)
     except ValueError as exc:
         raise MalformedHeader(f"non-integer header field: {exc}") from exc
     if width < 1 or height < 1:

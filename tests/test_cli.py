@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output schemas, determinism."""
+import dataclasses
 import json
 import os
 import warnings
@@ -6,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from minrect import baselines
 from minrect.cli import main
+from minrect.rectify import assemble
 from minrect.geometry import rig_to_dict
 from minrect import serialize
 
@@ -169,6 +172,21 @@ def test_stress_writes_report(tmp_path, capsys):
     report = json.loads(open(out).read())
     assert report["direct_successes"] == 10
     assert "direct_successes 10/10" in capsys.readouterr().out
+
+
+def test_stress_exits_1_when_it_lists_failures_and_still_writes_the_report(
+        tmp_path, capsys, monkeypatch):
+    def inflated(rig):  # a closed form pushed above the scan minimum
+        pair = assemble(rig)
+        return dataclasses.replace(pair, distortion=pair.distortion * (1.0 + 1e-6) + 1e-6)
+
+    monkeypatch.setattr(baselines, "assemble", inflated)
+    out = str(tmp_path / "report.json")
+    assert main(["stress", "--trials", "3", "--seed", "3", "-o", out]) == 1
+    report = json.loads(open(out).read())
+    assert [f[:2] for f in report["failures"]] == [[0, "scan-gap"], [1, "scan-gap"],
+                                                    [2, "scan-gap"]]
+    assert "direct_successes 3/3" in capsys.readouterr().out
 
 
 def test_degenerate_command(tmp_path, capsys):

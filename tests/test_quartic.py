@@ -1,5 +1,6 @@
 """Quartic coefficients, closed-form root solving, minimum selection."""
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minrect.distortion import distortion_of_y, is_admissible, operand_matrices
-from minrect.errors import AllCoefficientsZero, NoAdmissibleRoot, PipelineError
+from minrect.distortion import (_exclusion_half_width, distortion_of_y, distortion_of_y_many,
+                                is_admissible, operand_matrices, poles)
+from minrect.errors import (AllCoefficientsZero, InvalidArgument, NoAdmissibleRoot, PipelineError,
+                            PoleAtY)
 from minrect.quartic import (
     _OMEGA,
     DEDUP_REL,
@@ -27,7 +30,7 @@ from conftest import A_LEFT, make_camera
 from minrect.geometry import StereoRig
 from minrect.rectify import assemble
 from test_acceptance import scan_gap
-from test_distortion import rational_ops
+from test_distortion import pi2_ops, rational_ops
 from test_small_c22 import two_cameras
 
 
@@ -301,6 +304,78 @@ def test_rig_without_real_stationary_point_fails_by_name_or_hits_scan():
             return
         assert np.isfinite(pair.distortion)
         assert scan_gap(NO_REAL_ROOT_RIG, pair) <= 1e-9
+
+
+
+# --- one contract for where the metric is defined -----------------------------
+# distortion_of_y refuses exactly where the scan reads +inf, and select_minimum
+# keeps the (d, |y|)-least root that the scan reads as finite.
+
+def contract_samples(ops) -> np.ndarray:
+    """A grid over +-10 image heights, four huge intercepts, and each finite pole
+    and zone edge with its two neighbouring floats."""
+    ys = [np.linspace(-4800.0, 4800.0, 41), [1e150, -1e150, 1e200, -1e200]]
+    for p in poles(ops):
+        if math.isfinite(p):
+            half = _exclusion_half_width(p)
+            for centre in (p, p - half, p + half):
+                y = np.float64(centre)
+                ys.append([np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)])
+    return np.concatenate(ys)
+
+
+def assert_one_contract(ops, ys, roots):
+    """distortion_of_y gives distortion_of_y_many's bits, or refuses where it reads
+    +inf; select_minimum over ``roots`` picks the least finite entry, first
+    on ties, or raises NoAdmissibleRoot when none is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, many in zip(ys.tolist(), distortion_of_y_many(ops, ys).tolist()):
+            try:
+                value = float(distortion_of_y(ops, y))
+            except (PoleAtY, InvalidArgument):
+                assert many == math.inf, y
+            else:
+                assert value.hex() == many.hex(), y
+        candidates = RootSet(roots=tuple(roots), residuals=(0.0,) * len(roots))
+        finite = [(d, abs(y), y) for y, d in zip(roots, distortion_of_y_many(ops, roots).tolist())
+                  if d != math.inf]
+        if not finite:
+            with pytest.raises(NoAdmissibleRoot):
+                select_minimum(ops, None, candidates)
+            return
+        d, _, y = min(finite, key=lambda entry: entry[:2])
+        y_star, d_star = select_minimum(ops, None, candidates)
+        assert (y_star, float(d_star).hex()) == (y, d.hex())
+
+
+def test_metric_and_selection_share_one_contract_on_seeded_rigs():
+    for ops in pi2_ops(60, seed=17):
+        ys = contract_samples(ops)
+        assert_one_contract(ops, ys, ys.tolist())
+        assert_one_contract(ops, ys, list(solve_quartic(quartic_coefficients(ops)).roots))
+
+
+def test_metric_refuses_inside_a_zone_where_the_denominator_test_passes():
+    """The first term's pole is at 0 and its denominator there, 1.2e-15, is
+    above the test's 1e-15: the zone alone makes y = 0 undefined."""
+    ops = rational_ops((1, 0, 0), (1e-300, 0, 1.2e-15), (0, 0, 1), (1, -40, 401))
+    ys = np.concatenate([contract_samples(ops), [0.0, 1.0]])
+    assert distortion_of_y_many(ops, [0.0]).tolist() == [math.inf]
+    assert_one_contract(ops, ys, [0.0])
+    assert_one_contract(ops, ys, [0.0, 1.0])
+
+
+def test_selection_skips_a_root_where_only_a_denominator_overflows():
+    """y²/(1e10·y² + 1) is least at y = 1; at 1e150 its denominator overflows
+    while its numerator does not."""
+    ops = rational_ops((1, 0, 0), (1e10, 0, 1), (0, 0, 0), (0, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_star, d_star = select_minimum(ops, None, RootSet(roots=(1.0, 1e150),
+                                                           residuals=(0.0, 0.0)))
+    assert (y_star, d_star) == (1.0, 1.0 / (1e10 + 1.0))
+    assert_one_contract(ops, contract_samples(ops), [1.0, 1e150])
 
 
 # --- the root path against the four-level degree chain it replaced ------------
