@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,14 +28,39 @@ class MomentMatrices:
     pcpct: np.ndarray  # outer product of the average pixel
 
 
+@lru_cache(maxsize=64)
 def moment_matrices(width: int, height: int) -> MomentMatrices:
-    """Closed-form pixel-grid moments for a width x height image."""
+    """Closed-form pixel-grid moments for a width x height image; the result is
+    read-only, so one object per size is shared by every caller."""
     if width < 2 or height < 2:
         raise BadDimensions("image must be at least 2x2 pixels")
     w, h = float(width), float(height)
     ppt = (w * h / 12.0) * np.diag([w * w - 1.0, h * h - 1.0, 0.0])
     v = np.array([(w - 1.0) / 2.0, (h - 1.0) / 2.0, 1.0])
     return MomentMatrices(ppt=read_only(ppt), pcpct=read_only(np.outer(v, v)))
+
+
+def poles(ops: DistortionOperands) -> tuple[float, float]:
+    """Roots of the two quadratic denominators (each a double root).
+
+    A term with [C_i]_22 == 0 has a denominator that does not depend on y (C_i is
+    rank 1, so [C_i]_23 is 0 too): its pole is at infinity and excludes nothing."""
+    return tuple(-C[1, 2] / C[1, 1] if C[1, 1] != 0.0 else math.inf for C in (ops.C1, ops.C2))
+
+
+def _exclusion_half_width(pole: float) -> float:
+    return POLE_HALF_WIDTH * (1.0 + abs(pole))
+
+
+def _exclusion_zones(ops: DistortionOperands) -> list[tuple[float, float]]:
+    """(pole, half-width) of each finite pole."""
+    return [(p, _exclusion_half_width(p)) for p in map(float, poles(ops)) if math.isfinite(p)]
+
+
+def _rational_terms(ops: DistortionOperands):
+    """Quadratic numerator/denominator coefficient triples for both terms, as Python floats."""
+    return [((M[1][1], 2.0 * M[1][2], M[2][2]), (C[1][1], 2.0 * C[1][2], C[2][2]))
+            for M, C in ((ops.M1.tolist(), ops.C1.tolist()), (ops.M2.tolist(), ops.C2.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -49,6 +75,10 @@ class DistortionOperands:
     C2: np.ndarray
     moments1: MomentMatrices
     moments2: MomentMatrices
+
+    # read by every evaluation of the metric, so built once per instance
+    terms = cached_property(_rational_terms)
+    zones = cached_property(_exclusion_zones)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -122,32 +152,9 @@ def pixel_sum_distortion(w, width: int, height: int) -> float:
     return total
 
 
-def poles(ops: DistortionOperands) -> tuple[float, float]:
-    """Roots of the two quadratic denominators (each a double root).
-
-    A term with [C_i]_22 == 0 has a denominator that does not depend on y (C_i is
-    rank 1, so [C_i]_23 is 0 too): its pole is at infinity and excludes nothing."""
-    return tuple(-C[1, 2] / C[1, 1] if C[1, 1] != 0.0 else math.inf for C in (ops.C1, ops.C2))
-
-
-def _exclusion_half_width(pole: float) -> float:
-    return POLE_HALF_WIDTH * (1.0 + abs(pole))
-
-
-def _exclusion_zones(ops: DistortionOperands) -> list[tuple[float, float]]:
-    """(pole, half-width) of each finite pole."""
-    return [(p, _exclusion_half_width(p)) for p in poles(ops) if math.isfinite(p)]
-
-
 def is_admissible(ops: DistortionOperands, y1: float) -> bool:
     """Whether y1 lies outside both pole-exclusion zones."""
-    return all(abs(y1 - p) > half_width for p, half_width in _exclusion_zones(ops))
-
-
-def _rational_terms(ops: DistortionOperands):
-    """Quadratic numerator/denominator coefficient triples for both terms."""
-    return [((M[1, 1], 2.0 * M[1, 2], M[2, 2]), (C[1, 1], 2.0 * C[1, 2], C[2, 2]))
-            for M, C in ((ops.M1, ops.C1), (ops.M2, ops.C2))]
+    return all(abs(y1 - p) > half_width for p, half_width in ops.zones)
 
 
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
@@ -158,16 +165,15 @@ def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
     if not math.isfinite(y1):
         raise InvalidArgument(f"y1 must be finite, got {y1!r}")
     y, total = float(y1), 0.0
-    try:
-        with np.errstate(over="raise"):
-            for (n2, n1, n0), (d2, d1, d0) in _rational_terms(ops):
-                num = (n2 * y + n1) * y + n0
-                den = (d2 * y + d1) * y + d0
-                if den <= 1e-15 * max(abs(num), 1.0):
-                    raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
-                total += num / den
-    except FloatingPointError as exc:
-        raise InvalidArgument(f"y1={y1!r} overflows the distortion function") from exc
+    for (n2, n1, n0), (d2, d1, d0) in ops.terms:
+        num = (n2 * y + n1) * y + n0
+        den = (d2 * y + d1) * y + d0
+        # finite coefficients and y give inf or NaN only through an overflow
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise InvalidArgument(f"y1={y1!r} overflows the distortion function")
+        if den <= 1e-15 * max(abs(num), 1.0):
+            raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
+        total += num / den
     if not is_admissible(ops, y):
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total
@@ -186,8 +192,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     out = np.empty(ys.shape)
     flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
-    terms = _rational_terms(ops)
-    zones = _exclusion_zones(ops)
+    terms, zones = ops.terms, ops.zones
     size = min(flat_ys.size, _BLOCK)
     num, den, tmp = np.empty(size), np.empty(size), np.empty(size)
     bad, over = np.empty(size, dtype=bool), np.empty(size, dtype=bool)

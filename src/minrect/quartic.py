@@ -9,6 +9,7 @@ the root scale of the rest, applies the radical formula of the degree left
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,31 +46,35 @@ class RootSet:
 
 def quartic_coefficients(ops: DistortionOperands) -> QuarticProblem:
     """Build m1..m8 and the quartic coefficients from the operand matrices."""
-    M1, M2, C1, C2 = ops.M1, ops.M2, ops.C1, ops.C2
+    # Python floats, in the order of the numpy-scalar formulas and to their bits
+    M1, M2, C1, C2 = ops.M1.tolist(), ops.M2.tolist(), ops.C1.tolist(), ops.C2.tolist()
     for name, C in (("C1", C1), ("C2", C2)):
-        if C[1, 1] == 0.0:
+        if C[1][1] == 0.0:
             raise DegenerateC(f"[{name}]_22 is zero; intermediates undefined")
-    with np.errstate(all="ignore"):  # overflow is caught below as a non-finite coefficient
-        m1 = M1[1, 2] * C1[1, 2] - M1[2, 2] * C1[1, 1]
-        m2 = M1[1, 1] * C1[1, 2] - M1[1, 2] * C1[1, 1]
-        m3 = C2[1, 2] / C2[1, 1]
-        m4 = C2[1, 1] / C1[1, 1]
-        m5 = M2[1, 2] * C2[1, 2] - M2[2, 2] * C2[1, 1]
-        m6 = M2[1, 1] * C2[1, 2] - M2[1, 2] * C2[1, 1]
-        m7 = C1[1, 2] / C1[1, 1]
-        m8 = C1[1, 1] / C2[1, 1]
+    m1 = M1[1][2] * C1[1][2] - M1[2][2] * C1[1][1]
+    m2 = M1[1][1] * C1[1][2] - M1[1][2] * C1[1][1]
+    m3 = C2[1][2] / C2[1][1]
+    m4 = C2[1][1] / C1[1][1]
+    m5 = M2[1][2] * C2[1][2] - M2[2][2] * C2[1][1]
+    m6 = M2[1][1] * C2[1][2] - M2[1][2] * C2[1][1]
+    m7 = C1[1][2] / C1[1][1]
+    m8 = C1[1][1] / C2[1][1]
+    try:  # ** raises on an overflow, where * and / give inf
         a = m2 * m4 + m6 * m8
         b = m1 * m4 + 3 * m2 * m3 * m4 + m5 * m8 + 3 * m6 * m7 * m8
         c = 3 * m1 * m3 * m4 + 3 * m2 * m3 * m3 * m4 + 3 * m5 * m7 * m8 + 3 * m6 * m7 * m7 * m8
         d = 3 * m1 * m3 * m3 * m4 + m2 * m3 ** 3 * m4 + 3 * m5 * m7 * m7 * m8 + m6 * m7 ** 3 * m8
         e = m1 * m3 ** 3 * m4 + m5 * m7 ** 3 * m8
+    except OverflowError as exc:
+        raise DegenerateC("quartic coefficients are not finite") from exc
     coeffs = (a, b, c, d, e)
-    if not np.isfinite(coeffs).all():
+    if not all(map(math.isfinite, coeffs)):
         raise DegenerateC("quartic coefficients are not finite")
     # below cubic degree at the root scale of the trailing polynomial
     degenerate = max(abs(v) for v in coeffs) > 0 and len(_trim(list(coeffs))) < 4
-    return QuarticProblem(m=(m1, m2, m3, m4, m5, m6, m7, m8),
-                          coeffs=coeffs, degenerate=degenerate)
+    # numpy scalars out: solve_quartic's complex arithmetic is that of np.float64
+    return QuarticProblem(m=tuple(np.array((m1, m2, m3, m4, m5, m6, m7, m8))),
+                          coeffs=tuple(np.array(coeffs)), degenerate=degenerate)
 
 
 def _poly_eval(coeffs, z):

@@ -52,7 +52,10 @@ def orientation(rig: StereoRig, direction: np.ndarray) -> np.ndarray:
     z_hat = z / nz
     if float(z_hat @ rig.cam1.axis) < 0.0:
         z_hat = -z_hat
-    return read_only(np.vstack([x_hat, np.cross(z_hat, x_hat), z_hat]))
+    (z0, z1, z2), (x0, x1, x2) = z_hat.tolist(), x_hat.tolist()
+    # np.cross(z_hat, x_hat) by components, in its order
+    return read_only(np.array([x_hat, (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0),
+                               z_hat]))
 
 
 def new_orientation(rig: StereoRig, y1: float) -> np.ndarray:
@@ -63,22 +66,27 @@ def new_orientation(rig: StereoRig, y1: float) -> np.ndarray:
     return orientation(rig, np.linalg.solve(rig.cam1.projection, np.array([0.0, float(y1), 1.0])))
 
 
-def _map_point(H: np.ndarray, x: float, y: float) -> np.ndarray:
-    p = H @ np.array([x, y, 1.0])
-    if abs(p[2]) <= 1e-12 * max(abs(p[0]), abs(p[1]), 1.0):
-        raise CollapsedMidlines("edge midpoint maps to infinity")
-    return p[:2] / p[2]
+def _map_points(H: np.ndarray, points) -> list:
+    """Each (x, y) of ``points`` mapped through H, as a pair of Python floats;
+    ``CollapsedMidlines`` where one maps to infinity.  One stacked matvec gives
+    ``H @ (x, y, 1)`` bit for bit for every point, where ``H @ P`` on a 3x4 block
+    does not."""
+    columns = np.array([[x, y, 1.0] for x, y in points])[:, :, None]
+    mapped = []
+    for (p0,), (p1,), (p2,) in np.matmul(H, columns).tolist():
+        if abs(p2) <= 1e-12 * max(abs(p0), abs(p1), 1.0):
+            raise CollapsedMidlines("edge midpoint maps to infinity")
+        mapped.append((p0 / p2, p1 / p2))
+    return mapped
 
 
 def shear_similarity(Hp_base: np.ndarray, width: int, height: int) -> np.ndarray:
     """Shear restoring midline perpendicularity and the w:h aspect ratio."""
     w, h = float(width), float(height)
-    a_m = _map_point(Hp_base, w / 2.0, 0.0)
-    b_m = _map_point(Hp_base, w, h / 2.0)
-    c_m = _map_point(Hp_base, w / 2.0, h)
-    d_m = _map_point(Hp_base, 0.0, h / 2.0)
-    u = b_m - d_m
-    v = c_m - a_m
+    a_m, b_m, c_m, d_m = _map_points(
+        Hp_base, [(w / 2.0, 0.0), (w, h / 2.0), (w / 2.0, h), (0.0, h / 2.0)])
+    u = (b_m[0] - d_m[0], b_m[1] - d_m[1])
+    v = (c_m[0] - a_m[0], c_m[1] - a_m[1])
     cross = u[0] * v[1] - u[1] * v[0]
     if abs(cross) <= 1e-12 * max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300):
         raise CollapsedMidlines("midlines collapse; shear undefined")
@@ -101,11 +109,10 @@ def joint_fit(H1_pre: np.ndarray, H2_pre: np.ndarray,
     Returns (fit1, fit2, (out_width, out_height)); both output canvases get
     the taller image's height so scanlines stay in one-to-one correspondence.
     """
-    quads = []
-    for H, (width, height) in ((H1_pre, size1), (H2_pre, size2)):
-        quads.append(np.array([_map_point(H, x, y) for x, y in _corners(width, height)]))
-    ymin = min(q[:, 1].min() for q in quads)
-    ymax = max(q[:, 1].max() for q in quads)
+    quads = [_map_points(H, _corners(width, height))
+             for H, (width, height) in ((H1_pre, size1), (H2_pre, size2))]
+    ymin = min(y for q in quads for _, y in q)
+    ymax = max(y for q in quads for _, y in q)
     extent = ymax - ymin
     out_h = max(size1[1], size2[1])
     scale = float(out_h - 1) / extent if extent > 0 else 1.0
@@ -113,9 +120,10 @@ def joint_fit(H1_pre: np.ndarray, H2_pre: np.ndarray,
     fits = []
     widths = []
     for q in quads:
-        tx = -scale * q[:, 0].min()
+        xmin, xmax = min(x for x, _ in q), max(x for x, _ in q)
+        tx = -scale * xmin
         fits.append(np.array([[scale, 0.0, tx], [0.0, scale, ty], [0.0, 0.0, 1.0]]))
-        widths.append(int(math.ceil(scale * (q[:, 0].max() - q[:, 0].min()))) + 1)
+        widths.append(int(math.ceil(scale * (xmax - xmin))) + 1)
     return fits[0], fits[1], (max(widths), out_h if extent > 0 else 1)
 
 

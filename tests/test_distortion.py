@@ -60,6 +60,25 @@ def test_moment_rejects_tiny():
         moment_matrices(1, 480)
 
 
+def test_moment_matrices_of_a_repeated_size_are_shared_and_refuse_writes():
+    first = moment_matrices(640, 480)
+    assert moment_matrices(640, 480) is first
+    for arr in (first.ppt, first.pcpct):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    ppt, pcpct = brute_moments(640, 480)
+    assert np.allclose(first.ppt, ppt, rtol=1e-9)
+    assert np.allclose(first.pcpct, pcpct, rtol=1e-9)
+
+
+def test_moment_matrices_refuse_a_tiny_size_on_every_call():
+    """The cache keeps results, not exceptions: 1x480 raises after 640x480 is cached."""
+    moment_matrices(640, 480)
+    for _ in range(3):
+        with pytest.raises(BadDimensions):
+            moment_matrices(1, 480)
+
+
 def test_operand_axis_projector():
     A = np.eye(3)
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=4, height=4)
@@ -453,3 +472,25 @@ def test_many_is_finite_or_plus_inf_on_finite_samples():
     for ops, ys in cases:
         got = distortion_of_y_many(ops, ys)
         assert (np.isfinite(got) | (got == np.inf)).all()
+
+
+def test_scalar_metric_refuses_exactly_where_many_reads_inf():
+    """On the synthetic cases above, and at samples where only a numerator
+    overflows: distortion_of_y returns the bits distortion_of_y_many reads, and
+    refuses exactly where it reads +inf, without a warning."""
+    ys = np.concatenate([np.linspace(-10.0, 10.0, 4001), [2.0, 3.0, 4.0],
+                         [1e155, -1e155, 1e200, -1e200]])
+    refused = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for den1 in ((1.0, -6.0, 8.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1e-300), (0.0, 0.0, 1e-300)):
+            for num1 in ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e300)):
+                ops = rational_ops(num1, den1, (0.0, 0.0, 1.0), (1.0, -40.0, 401.0))
+                for y, many in zip(ys.tolist(), distortion_of_y_many(ops, ys).tolist()):
+                    if many == math.inf:
+                        with pytest.raises((PoleAtY, InvalidArgument)) as exc:
+                            distortion_of_y(ops, y)
+                        refused.add(exc.type)
+                    else:
+                        assert distortion_of_y(ops, y).hex() == many.hex(), (num1, den1, y)
+    assert refused == {PoleAtY, InvalidArgument}

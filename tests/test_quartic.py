@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from minrect.distortion import (_exclusion_half_width, distortion_of_y, distortion_of_y_many,
                                 is_admissible, operand_matrices, poles)
-from minrect.errors import (AllCoefficientsZero, InvalidArgument, NoAdmissibleRoot, PipelineError,
-                            PoleAtY)
+from minrect.errors import (AllCoefficientsZero, DegenerateC, InvalidArgument, NoAdmissibleRoot,
+                            PipelineError, PoleAtY)
 from minrect.quartic import (
     _OMEGA,
     DEDUP_REL,
@@ -592,3 +592,56 @@ def test_degree_trim_drops_a_lead_exactly_at_the_bound():
     bound is negligible: the polynomial drops to the next degree."""
     assert solve_quartic(as_problem((0.0, 0.0, 0.0, 1e-13, 1.0))).roots == ()
     assert solve_quartic(as_problem((1e-13, 1.0, 0.0, 0.0, 0.0))).roots == (0.0,)
+
+
+def reference_coefficients(ops):
+    """m1..m8 and the coefficients in np.float64 scalar arithmetic, the form
+    quartic_coefficients had before it ran on Python floats."""
+    M1, M2, C1, C2 = ops.M1, ops.M2, ops.C1, ops.C2
+    with np.errstate(all="ignore"):
+        m1 = M1[1, 2] * C1[1, 2] - M1[2, 2] * C1[1, 1]
+        m2 = M1[1, 1] * C1[1, 2] - M1[1, 2] * C1[1, 1]
+        m3 = C2[1, 2] / C2[1, 1]
+        m4 = C2[1, 1] / C1[1, 1]
+        m5 = M2[1, 2] * C2[1, 2] - M2[2, 2] * C2[1, 1]
+        m6 = M2[1, 1] * C2[1, 2] - M2[1, 2] * C2[1, 1]
+        m7 = C1[1, 2] / C1[1, 1]
+        m8 = C1[1, 1] / C2[1, 1]
+        a = m2 * m4 + m6 * m8
+        b = m1 * m4 + 3 * m2 * m3 * m4 + m5 * m8 + 3 * m6 * m7 * m8
+        c = 3 * m1 * m3 * m4 + 3 * m2 * m3 * m3 * m4 + 3 * m5 * m7 * m8 + 3 * m6 * m7 * m7 * m8
+        d = 3 * m1 * m3 * m3 * m4 + m2 * m3 ** 3 * m4 + 3 * m5 * m7 * m7 * m8 + m6 * m7 ** 3 * m8
+        e = m1 * m3 ** 3 * m4 + m5 * m7 ** 3 * m8
+    return (m1, m2, m3, m4, m5, m6, m7, m8), (a, b, c, d, e)
+
+
+def spread_ops(rng, decades: float):
+    """A rational metric whose six quadratic forms have entries of random sign
+    and magnitude up to 10**decades either way."""
+    forms = rng.choice((-1.0, 1.0), (4, 3)) * 10.0 ** rng.uniform(-decades, decades, (4, 3))
+    return rational_ops(*forms.tolist())
+
+
+def test_coefficients_match_the_numpy_scalar_formula_bit_for_bit():
+    """Seeded rigs up to pi/2, cancelling metrics and metrics over 16 and 240
+    decades: np.float64 values with the reference's bits, or DegenerateC
+    exactly where a reference coefficient is not finite (there ** overflows)."""
+    rng = np.random.default_rng(47)
+    cases = pi2_ops(300, seed=47) + [cancelling_ops(rng) for _ in range(300)]
+    cases += [spread_ops(rng, decades) for decades in (8.0, 120.0) for _ in range(1000)]
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ops in cases:
+            m, coeffs = reference_coefficients(ops)
+            if not np.isfinite(coeffs).all():
+                with pytest.raises(DegenerateC, match="not finite"):
+                    quartic_coefficients(ops)
+                outcomes.add("refused")
+                continue
+            problem = quartic_coefficients(ops)
+            assert all(type(v) is np.float64 for v in problem.m + problem.coeffs)
+            assert np.array(problem.m).tobytes() == np.array(m).tobytes()
+            assert np.array(problem.coeffs).tobytes() == np.array(coeffs).tobytes()
+            outcomes.add("built")
+    assert outcomes == {"built", "refused"}

@@ -7,12 +7,16 @@ import pytest
 
 from minrect.baselines import fusiello_rectify, random_rig
 from minrect.distortion import distortion_of_y, is_admissible, operand_matrices, w_from_y
-from minrect.errors import CollapsedMidlines, DegenerateZ
+from minrect.errors import CollapsedMidlines, DegenerateZ, PipelineError
 from minrect.geometry import StereoRig, fundamental_matrix, epipoles, normalize_matrix, project
 from minrect.rectify import (
+    _corners,
+    _map_points,
     assemble,
+    complete_homographies,
     joint_fit,
     new_orientation,
+    orientation,
     shear_similarity,
 )
 from minrect.synth import synth_rig
@@ -297,3 +301,58 @@ def test_shear_rejects_midpoint_at_infinity():
     H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-2.0 / w, 0.0, 1.0]])
     with pytest.raises(CollapsedMidlines):
         shear_similarity(H, w, h)
+
+
+def test_joint_fit_rejects_a_corner_at_infinity():
+    """(w - 1, 0) lies on the horizon of the second homography."""
+    w, h = 640, 480
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0 / (w - 1), 0.0, 1.0]])
+    with pytest.raises(CollapsedMidlines, match="maps to infinity"):
+        joint_fit(np.eye(3), H, (w, h), (w, h))
+
+
+def test_complete_homographies_reports_a_corner_at_infinity_as_the_fit_stage():
+    """A rotation whose horizon touches image 1 at the corner (0, 0) only: the
+    shear, which maps edge midpoints, succeeds and the fit refuses."""
+    rig = StereoRig(cam1=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0)),
+                    cam2=make_camera(A_LEFT, np.eye(3), (1.0, 0.0, 0.0)))
+    z = np.cross([1.0, -1.0, 0.0], np.linalg.solve(A_LEFT, [0.0, 0.0, 1.0]))
+    z /= np.linalg.norm(z)
+    x = np.cross([0.0, 1.0, 0.0], z)
+    x /= np.linalg.norm(x)
+    with pytest.raises(PipelineError) as exc:
+        complete_homographies(rig, np.array([x, np.cross(z, x), z]), 0.0, 0.0)
+    assert exc.value.stage == "fit"
+    assert isinstance(exc.value.cause, CollapsedMidlines)
+
+
+# --- bit-identity pins of the scalar arithmetic -------------------------------
+
+def reference_map_point(H, x, y):
+    """One point mapped by its own matvec, as the shear and the fit did it."""
+    p = H @ np.array([x, y, 1.0])
+    return p[:2] / p[2]
+
+
+def test_map_points_matches_a_matvec_per_point_bit_for_bit():
+    """1 000 homographies with entries of random sign over 1e-3 to 1e3, on the
+    edge midpoints and corners of random image sizes."""
+    rng = np.random.default_rng(41)
+    for _ in range(1000):
+        H = rng.choice((-1.0, 1.0), (3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 3))
+        width, height = rng.integers(2, 4000, 2).tolist()
+        w, h = float(width), float(height)
+        mids = [(w / 2.0, 0.0), (w, h / 2.0), (w / 2.0, h), (0.0, h / 2.0)]
+        for points in (mids, _corners(width, height), rng.uniform(-1e4, 1e4, (4, 2)).tolist()):
+            got = np.array(_map_points(H, points))
+            ref = np.array([reference_map_point(H, x, y) for x, y in points])
+            assert got.tobytes() == ref.tobytes(), (H, points)
+
+
+def test_orientation_middle_row_is_numpys_cross_product():
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        rig = random_rig(rng, max_angle=math.pi / 2)
+        for R in (new_orientation(rig, rng.uniform(-2000.0, 2000.0)),
+                  orientation(rig, rng.normal(size=3))):
+            assert R[1].tobytes() == np.cross(R[2], R[0]).tobytes()
