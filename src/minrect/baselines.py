@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,24 +155,15 @@ class StressReport:
     pd_failures: int = 0
     distortion_ratios: dict = field(default_factory=dict)  # baseline / direct
     scan_gap_max: float | None = None  # largest (direct - scan) / (1 + scan)
-    timings_ms: dict = field(default_factory=dict)
+    timings_ms: dict = field(default_factory=dict)  # mean of each stage's successful calls
     failures: list = field(default_factory=list)  # (trial, stage, message)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "direct_successes": self.direct_successes,
-            "baseline_failures": self.baseline_failures,
-            "pd_failures": self.pd_failures,
-            "pd_failure_fraction": self.pd_failures / self.trials if self.trials else 0.0,
-            "pd_probe_note": "default builder approximates the prior method's "
-                             "unpublished forms; fractions are indicative only",
-            "distortion_ratios": self.distortion_ratios,
-            "scan_gap_max": self.scan_gap_max,
-            "failures": [list(f) for f in self.failures],
-            "timings_ms": self.timings_ms,
-        }
+        """The fields in order, each failure as a list, then two derived entries."""
+        return {**asdict(self), "failures": [list(f) for f in self.failures],
+                "pd_failure_fraction": self.pd_failures / self.trials if self.trials else 0.0,
+                "pd_probe_note": "default builder approximates the prior method's "
+                                 "unpublished forms; fractions are indicative only"}
 
 
 def stress(trials: int, seed: int) -> StressReport:
@@ -183,54 +174,44 @@ def stress(trials: int, seed: int) -> StressReport:
     rng = np.random.default_rng(seed)
     report = StressReport(trials=trials, seed=seed)
     ratios, gaps = [], []
-    t_direct, t_baseline, t_scan = [], [], []
+    seconds = {"direct": [], "baseline": [], "scan": []}
+
+    def attempt(trial, stage, fn, *args):
+        """``fn(*args)``, timed under ``stage``; None, and a failure entry, on a MinrectError."""
+        t0 = time.perf_counter()
+        try:
+            result = fn(*args)
+        except MinrectError as exc:
+            report.failures.append((trial, stage, str(exc)))
+            return None
+        seconds[stage].append(time.perf_counter() - t0)
+        return result
+
     for trial in range(trials):
         rig = random_rig(rng)
-        t0 = time.perf_counter()
-        try:
-            direct = assemble(rig)
-        except MinrectError as exc:
-            report.failures.append((trial, "direct", str(exc)))
+        direct = attempt(trial, "direct", assemble, rig)
+        if direct is None:
             continue
-        t_direct.append(time.perf_counter() - t0)
         report.direct_successes += 1
-
-        t0 = time.perf_counter()
-        try:
-            baseline = fusiello_rectify(rig)
-            t_baseline.append(time.perf_counter() - t0)
-            if direct.distortion > 0:
-                ratios.append(baseline.distortion / direct.distortion)
-        except MinrectError as exc:
+        baseline = attempt(trial, "baseline", fusiello_rectify, rig)
+        if baseline is None:
             report.baseline_failures += 1
-            report.failures.append((trial, "baseline", str(exc)))
-
-        ops = operand_matrices(rig)
+        elif direct.distortion > 0:
+            ratios.append(baseline.distortion / direct.distortion)
         h = rig.cam1.height
-        t0 = time.perf_counter()
-        try:
-            _, d_scan = scan_minimize(ops, -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
-        except MinrectError as exc:
-            report.failures.append((trial, "scan", str(exc)))
-        else:
-            gaps.append(float((direct.distortion - d_scan) / (1.0 + d_scan)))
+        scan = attempt(trial, "scan", scan_minimize, operand_matrices(rig),
+                       -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
+        if scan is not None:
+            gaps.append(float((direct.distortion - scan[1]) / (1.0 + scan[1])))
             if gaps[-1] > SCAN_GAP_LIMIT:
                 report.failures.append((trial, "scan-gap", f"relative gap {gaps[-1]:.3e}"))
-        t_scan.append(time.perf_counter() - t0)
-
         if not pd_probe(rig):
             report.pd_failures += 1
     if ratios:
         arr = np.array(sorted(ratios))
-        report.distortion_ratios = {
-            "count": len(arr),
-            "min": float(arr[0]),
-            "median": float(np.median(arr)),
-            "max": float(arr[-1]),
-        }
+        report.distortion_ratios = {"count": len(arr), "min": float(arr[0]),
+                                    "median": float(np.median(arr)), "max": float(arr[-1])}
     report.scan_gap_max = max(gaps, default=None)
-    report.timings_ms = {
-        name: (1000.0 * float(np.mean(vals)) if vals else 0.0)
-        for name, vals in (("direct", t_direct), ("baseline", t_baseline), ("scan", t_scan))
-    }
+    report.timings_ms = {stage: 1000.0 * float(np.mean(vals)) if vals else 0.0
+                         for stage, vals in seconds.items()}
     return report

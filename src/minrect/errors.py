@@ -55,7 +55,8 @@ class DegenerateZ(MinrectError):
 
 
 class CollapsedMidlines(MinrectError):
-    """Image edge midlines collapse under the homography; shear undefined."""
+    """An edge midpoint (shear) or a corner (fit) maps to infinity under the
+    homography, or the midlines collapse; shear or fit undefined."""
 
 
 class SingularHomography(MinrectError):

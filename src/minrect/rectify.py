@@ -73,9 +73,9 @@ def _map_points(H: np.ndarray, points) -> list:
     does not."""
     columns = np.array([[x, y, 1.0] for x, y in points])[:, :, None]
     mapped = []
-    for (p0,), (p1,), (p2,) in np.matmul(H, columns).tolist():
+    for (x, y), ((p0,), (p1,), (p2,)) in zip(points, np.matmul(H, columns).tolist()):
         if abs(p2) <= 1e-12 * max(abs(p0), abs(p1), 1.0):
-            raise CollapsedMidlines("edge midpoint maps to infinity")
+            raise CollapsedMidlines(f"point ({x}, {y}) maps to infinity")
         mapped.append((p0 / p2, p1 / p2))
     return mapped
 

@@ -284,6 +284,21 @@ def test_stress_records_failure_stage(monkeypatch, target, stage):
     assert report.direct_successes == (0 if stage == "direct" else 3)
 
 
+def test_stress_times_only_successful_calls(monkeypatch):
+    def failing(*args, **kwargs):
+        raise MinrectError("injected")
+
+    monkeypatch.setattr(baselines, "scan_minimize", failing)
+    assert stress(3, seed=3).timings_ms["scan"] == 0.0
+
+
+def test_stress_report_serialises_every_field_in_order():
+    """A field added to StressReport reaches the JSON with no second edit."""
+    report = stress(3, seed=3)
+    names = [f.name for f in dataclasses.fields(report)]
+    assert list(report.to_dict()) == names + ["pd_failure_fraction", "pd_probe_note"]
+
+
 def test_cholesky_probe_rejects_a_zero_leading_pivot():
     assert not baselines._cholesky_ok(np.diag([0.0, 1.0]))
 
