@@ -16,8 +16,9 @@ import numpy as np
 from .distortion import (
     _BLOCK,
     DistortionOperands,
+    _block_buffers,
+    _fill_block,
     distortion_of_w,
-    distortion_of_y_many,
     moment_matrices,
     operand_matrices,
 )
@@ -48,12 +49,12 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                   samples: int = 200_001) -> tuple[float, float]:
     """Dense scan of [y_lo, y_hi] plus re-scans; independent oracle.
 
-    Each grid is evaluated one block at a time, so memory beyond it stays fixed,
-    and yields its first sample of least value. The interval between that
+    Each grid, written with ``np.linspace``'s arithmetic and evaluated a block at a time
+    in fixed memory, yields its first sample of least value. The interval between that
     sample's neighbours is re-scanned with 1001 samples until it is within
     1e-10 * (1 + |lo| + |hi|); the last best sample and its value are returned."""
-    if samples < 1001:
-        raise InvalidArgument("samples must be at least 1001")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1001:
+        raise InvalidArgument(f"samples must be an integer of at least 1001, got {samples!r}")
     try:
         lo, hi = float(y_lo), float(y_hi)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -61,20 +62,31 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     if not math.isfinite(hi - lo):  # also NaN or inf if either bound is
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
+    counts = np.arange(min(samples, _BLOCK), dtype=float)
+    ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), _block_buffers(counts.size)
     while True:
-        ys = np.linspace(lo, hi, samples)
+        div, delta = samples - 1, hi - lo
+        step = delta / div  # np.linspace's: k·step + lo, or k/div·delta + lo if step is 0
         i, best = -1, np.inf
-        for start in range(0, samples, _BLOCK):
-            vals = distortion_of_y_many(ops, ys[start:start + _BLOCK])
-            j = int(np.argmin(vals))
-            if vals[j] < best:
-                i, best = start + j, vals[j]
+        for start in range(0, samples, counts.size):
+            y, v = ys[:samples - start], vals[:samples - start]
+            np.add(counts[:y.size], start, out=y)
+            if not step:
+                y /= div
+            y *= step or delta
+            y += lo
+            y[div - start:] = hi  # np.linspace's last sample, in the last block only
+            _fill_block(ops, y, v, buffers)
+            j = int(np.argmin(v))
+            if v[j] < best:
+                i, best = start + j, v[j]
         if i < 0:
             raise EmptyDomain("every sample is pole-excluded or overflowing")
         # Python floats: |lo| + |hi| may round up to inf, and then without a warning
-        lo, hi = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, samples - 1)])
+        lo, hi, y_best = [hi if k == div else (k * step if step else k / div * delta) + lo
+                          for k in (max(i - 1, 0), min(i + 1, div), i)]
         if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
-            return ys[i], best
+            return np.float64(y_best), best
         samples = 1001
 
 

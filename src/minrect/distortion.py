@@ -182,6 +182,51 @@ def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
 _BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay in cache
 
 
+def _block_buffers(size: int) -> tuple:
+    """Scratch arrays of ``_fill_block`` for blocks of up to ``size`` samples."""
+    return np.empty((3, size)), np.empty((2, size), dtype=bool)
+
+
+def _fill_block(ops: DistortionOperands, y: np.ndarray, total: np.ndarray, buffers: tuple) -> None:
+    """Write the metric at the 1-D samples ``y`` into ``total`` with ``distortion_of_y``'s
+    arithmetic, in place in ``buffers``. A refusal mask is skipped where it provably refuses
+    no sample of the block: a term's where min(den) > 1e-15·max(num), -1e-15·min(num) and
+    1e-15 and max(den) < inf, as fl(1e-15·x) is monotone in x; a zone's where fl(min(y) - p)
+    lies above it or fl(max(y) - p) below it, as fl(y - p) is monotone in y. NaN fails all."""
+    k = y.size
+    (nu, de, t), (b, o) = (buf[:, :k] for buf in buffers)
+    total.fill(0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for (n2, n1, n0), (d2, d1, d0) in ops.terms:
+            np.multiply(y, n2, out=nu)
+            nu += n1
+            nu *= y
+            nu += n0
+            np.multiply(y, d2, out=de)
+            de += d1
+            de *= y
+            de += d0
+            np.divide(nu, de, out=t)
+            least = de.min()
+            if not (least > 1e-15 and least > 1e-15 * nu.max() and least > -1e-15 * nu.min()
+                    and de.max() < math.inf):  # bad: den <= 1e-15 * max(|num|, 1) or den == +inf
+                np.abs(nu, out=nu)
+                np.maximum(nu, 1.0, out=nu)
+                nu *= 1e-15
+                np.less_equal(de, nu, out=b)
+                np.equal(de, np.inf, out=o)
+                b |= o
+                np.copyto(t, np.inf, where=b)
+            total += t
+    y_min, y_max = y.min(), y.max()
+    for p, half_width in ops.zones:
+        if not (y_min - p > half_width or y_max - p < -half_width):
+            np.subtract(y, p, out=t)
+            np.abs(t, out=t)
+            np.less_equal(t, half_width, out=b)
+            np.copyto(total, np.inf, where=b)
+
+
 def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     """Vectorised evaluation; a sample next to a pole, or one at which a
     numerator's or a denominator's quadratic form overflows, comes out as +inf.
@@ -192,39 +237,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     out = np.empty(ys.shape)
     flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
-    terms, zones = ops.terms, ops.zones
-    size = min(flat_ys.size, _BLOCK)
-    num, den, tmp = np.empty(size), np.empty(size), np.empty(size)
-    bad, over = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    buffers = _block_buffers(min(flat_ys.size, _BLOCK))
     for start in range(0, flat_ys.size, _BLOCK):
-        y = flat_ys[start:start + _BLOCK]
-        total = flat_out[start:start + _BLOCK]
-        k = y.size
-        nu, de, t, b, o = num[:k], den[:k], tmp[:k], bad[:k], over[:k]
-        total.fill(0.0)
-        # distortion_of_y's arithmetic, in its order, written in place
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for (n2, n1, n0), (d2, d1, d0) in terms:
-                np.multiply(y, n2, out=nu)
-                nu += n1
-                nu *= y
-                nu += n0
-                np.multiply(y, d2, out=de)
-                de += d1
-                de *= y
-                de += d0
-                np.abs(nu, out=t)  # bad: den <= 1e-15 * max(|num|, 1) or den == +inf
-                np.maximum(t, 1.0, out=t)
-                t *= 1e-15
-                np.less_equal(de, t, out=b)
-                np.equal(de, np.inf, out=o)
-                b |= o
-                np.divide(nu, de, out=t)
-                np.copyto(t, np.inf, where=b)
-                total += t
-        for p, half_width in zones:
-            np.subtract(y, p, out=t)
-            np.abs(t, out=t)
-            np.less_equal(t, half_width, out=b)
-            np.copyto(total, np.inf, where=b)
+        _fill_block(ops, flat_ys[start:start + _BLOCK], flat_out[start:start + _BLOCK], buffers)
     return out

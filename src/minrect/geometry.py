@@ -98,8 +98,9 @@ class StereoRig:
     cam2: Camera
 
     def __post_init__(self):
-        if np.linalg.norm(self.baseline) <= 1e-12:
-            raise InvalidRig("optical centers coincide")
+        with np.errstate(over="ignore"):  # a baseline beyond about 1e154 has an inf norm
+            if np.linalg.norm(self.baseline) <= 1e-12:
+                raise InvalidRig("optical centers coincide")
 
     @cached_property
     def baseline(self) -> np.ndarray:
@@ -108,7 +109,8 @@ class StereoRig:
     @cached_property
     def x_hat(self) -> np.ndarray:
         b = self.baseline
-        return read_only(b / np.linalg.norm(b))
+        with np.errstate(over="ignore"):
+            return read_only(b / np.linalg.norm(b))
 
 
 def cross_matrix(v) -> np.ndarray:

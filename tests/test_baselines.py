@@ -1,6 +1,7 @@
 """Comparison baseline, dense-scan oracle, degenerate family, stress harness."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +17,8 @@ from minrect.baselines import (
 )
 from minrect import baselines, distortion
 from minrect.distortion import _exclusion_half_width, operand_matrices, poles
-from minrect.errors import DegenerateOrientation, EmptyDomain, MinrectError
-from minrect.geometry import fundamental_matrix, normalize_matrix, optical_center
+from minrect.errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
+from minrect.geometry import StereoRig, fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble
 from minrect import serialize
 
@@ -323,3 +324,119 @@ def test_cholesky_probe_refuses_a_trace_that_is_not_positive_and_finite():
         warnings.simplefilter("error", RuntimeWarning)
         for M in (np.zeros((2, 2)), np.full((2, 2), np.nan), steep):
             assert baselines._cholesky_ok(M) is False
+
+
+def test_scan_refuses_a_sample_count_that_is_not_an_integer(rig_d):
+    ops = operand_matrices(rig_d)
+    for samples in (1001.5, 2001.0, np.float64(2001.0), "2001", None, True, np.bool_(True)):
+        with pytest.raises(InvalidArgument, match="samples must be an integer"):
+            scan_minimize(ops, 0.0, 1.0, samples)
+    for samples in (np.int64(2001), np.int32(1001), np.uint16(5001)):
+        got = scan_minimize(ops, -4800.0, 4800.0, samples)
+        assert np.array(got).tobytes() == np.array(
+            scan_minimize(ops, -4800.0, 4800.0, int(samples))).tobytes()
+
+
+# --- the block-by-block grid against a whole-linspace scan ----------------------------
+
+def linspace_scan(ops, y_lo, y_hi, samples=200_001):
+    """scan_minimize as it was before it wrote its grid one block at a time: each grid
+    is one np.linspace, evaluated by distortion_of_y_many in blocks of _BLOCK."""
+    lo, hi = float(y_lo), float(y_hi)
+    while True:
+        ys = np.linspace(lo, hi, samples)
+        i, best = -1, np.inf
+        for start in range(0, samples, distortion._BLOCK):
+            vals = distortion.distortion_of_y_many(ops, ys[start:start + distortion._BLOCK])
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                i, best = start + j, vals[j]
+        if i < 0:
+            raise EmptyDomain("every sample is pole-excluded or overflowing")
+        lo, hi = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, samples - 1)])
+        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+            return ys[i], best
+        samples = 1001
+
+
+def fault_rigs():
+    """The already-rectified head ([C_i]_22 = 0) and the draws of
+    random_rig(default_rng(5), pi/2) on which the closed form fails or misses."""
+    from conftest import make_camera
+
+    A = np.array([[600.0, 0.0, 319.5], [0.0, 600.0, 239.5], [0.0, 0.0, 1.0]])
+    head = StereoRig(make_camera(A, np.eye(3), (0.0, 0.0, 0.0)),
+                     make_camera(A, np.eye(3), (1.0, 0.0, 0.0)))
+    rng = np.random.default_rng(5)
+    drawn = [random_rig(rng, max_angle=math.pi / 2) for _ in range(2822)]
+    return [head] + [drawn[k] for k in (1962, 2087, 396, 2821)]
+
+
+def test_scan_grid_matches_a_whole_linspace_scan():
+    block = distortion._BLOCK
+    counts = (1001, block - 1, block, block + 1, 2 * block + 1, 200_001)
+    # the last span is so narrow that np.linspace's step underflows to 0
+    spans = ((-9600.0, -1.0), (-4800.0, 4800.0), (1e6 - 5e-7, 1e6 + 5e-7), (240.0, 240.0),
+             (0.0, 2e-321))
+    rng = np.random.default_rng(29)
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(50)] + fault_rigs()
+    for rig in rigs:
+        ops = operand_matrices(rig)
+        for lo, hi in spans:
+            for samples in counts:
+                got = scan_minimize(ops, lo, hi, samples)
+                ref = linspace_scan(ops, lo, hi, samples)
+                assert type(got[0]) is type(ref[0]) is np.float64
+                assert np.array(got).tobytes() == np.array(ref).tobytes(), (lo, hi, samples)
+
+
+def test_scan_grid_matches_a_whole_linspace_scan_at_its_last_sample_and_a_zero_step():
+    """-y over [-1, 0.3], least at the last sample, which np.linspace sets to 0.3 where
+    k·step + lo reads 0.3 + 5.6e-17; and 1e308·y + 1/(1e308·y + 1) over [0, 2e-321], where
+    the step underflows to 0 and rounding puts the least sample inside the grid."""
+    block = distortion._BLOCK
+    cases = [(rational_ops((0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+              -1.0, 0.3),
+             (rational_ops((0.0, 1e308, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1e308, 1.0)),
+              0.0, 2e-321)]
+    for ops, lo, hi in cases:
+        for samples in (1001, block - 1, block, block + 1, 2 * block + 1, 200_001):
+            got = scan_minimize(ops, lo, hi, samples)
+            ref = linspace_scan(ops, lo, hi, samples)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert got[0] == (0.3 if hi == 0.3 else 1.5e-323)
+
+
+def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
+    """Each grid, joined from its blocks, is np.linspace's bit for bit: the dense one,
+    and each 1001-sample re-scan between its own first and last samples."""
+    fill, blocks = baselines._fill_block, []
+
+    def recording_fill(ops, y, total, buffers):
+        blocks.append(y.copy())
+        fill(ops, y, total, buffers)
+
+    monkeypatch.setattr(baselines, "_fill_block", recording_fill)
+    ops = operand_matrices(rig_d)
+    block = distortion._BLOCK
+    for lo, hi in ((-1.0, 0.3), (-4800.0, 4800.0), (0.0, 2e-321)):
+        for samples in (1001, block + 1, 2 * block + 1, 200_001):
+            blocks.clear()
+            scan_minimize(ops, lo, hi, samples)
+            dense = -(-samples // block)
+            grid = np.concatenate(blocks[:dense])
+            assert grid.tobytes() == np.linspace(lo, hi, samples).tobytes()
+            for grid in blocks[dense:]:
+                assert grid.tobytes() == np.linspace(grid[0], grid[-1], 1001).tobytes()
+
+
+def test_scan_memory_does_not_grow_with_the_sample_count(rig_d):
+    ops = operand_matrices(rig_d)
+    peaks = []
+    for samples in (20_001, 2_000_001):
+        tracemalloc.start()
+        scan_minimize(ops, -4800.0, 4800.0, samples)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+    assert peaks[1] < 2 * 1024 * 1024  # a 2 000 001-sample linspace alone takes 16 MB

@@ -206,6 +206,17 @@ def test_degenerate_pipeline_error_creates_no_directory(tmp_path, capsys):
     assert not d.exists()
 
 
+def test_degenerate_with_an_overflowing_baseline_warns_of_nothing(tmp_path, capsys):
+    """The baseline's norm overflows to inf without a warning; the pipeline then
+    refuses the rig at 'shear' and nothing is written."""
+    d = tmp_path / "d1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["degenerate", "--a", "1e300", "--theta", "1.5", "-o", str(d)]) == 3
+    assert "stage 'shear'" in capsys.readouterr().err
+    assert not d.exists()
+
+
 # --- strict homography files and warp size flags ---------------------------------
 
 @pytest.fixture

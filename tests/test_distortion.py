@@ -494,3 +494,122 @@ def test_scalar_metric_refuses_exactly_where_many_reads_inf():
                     else:
                         assert distortion_of_y(ops, y).hex() == many.hex(), (num1, den1, y)
     assert refused == {PoleAtY, InvalidArgument}
+
+
+# --- both paths of the block screens against the whole-array reference ----------------
+# A block skips a refusal mask only where no sample of it can be refused; these cases put
+# the samples that are refused, or nearly so, where a wrong screen would let them through.
+
+def test_many_matches_reference_with_one_pole_in_the_middle_block_and_one_in_the_last():
+    block = distortion._BLOCK
+    p1, p2 = 1.5 * block, 2.5 * block  # integers: the grid holds each pole exactly
+    ops = rational_ops((1.0, 0.0, 1.0), (1.0, -2.0 * p1, p1 * p1), (0.0, 1.0, 3.0),
+                       (1.0, -2.0 * p2, p2 * p2))
+    ys = np.arange(3.0 * block)
+    got = distortion_of_y_many(ops, ys)
+    assert np.isfinite(got[:block]).all()
+    assert got[int(p1)] == got[int(p2)] == math.inf
+    assert np.isinf(got[block:2 * block]).sum() == np.isinf(got[2 * block:]).sum() == 1
+    assert_same_as_reference(ops, ys)
+    for ops in pi2_ops(20, seed=19):  # the same layout around the poles of seeded rigs
+        q1, q2 = (float(p) for p in poles(ops))
+        if not math.isfinite(q1 + q2):
+            continue
+        ys = np.concatenate([np.linspace(-4800.0, 4800.0, block),
+                             np.linspace(q1 - 1.0, q1 + 1.0, block), [q1],
+                             np.linspace(q2 - 1.0, q2 + 1.0, block - 1), [q2]])
+        got = distortion_of_y_many(ops, ys)
+        assert got[2 * block] == got[-1] == math.inf
+        assert_same_as_reference(ops, ys)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_many_matches_reference_with_a_nonfinite_sample_in_a_clean_block(rig_d, value):
+    ops = operand_matrices(rig_d)
+    block = distortion._BLOCK
+    clean = np.linspace(-4800.0, 4800.0, block)
+    assert np.isfinite(distortion_of_y_many(ops, clean)).all()
+    for at in (0, block // 2, block - 1):
+        ys = np.concatenate([clean, clean])
+        ys[block + at] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_as_reference(ops, ys)
+        got = distortion_of_y_many(ops, ys)
+        assert np.isfinite(np.delete(got, block + at)).all()
+        assert not np.isfinite(got[block + at])
+
+
+def test_many_matches_reference_where_one_numerator_alone_overflows():
+    """y²·1e10/(y² + 1): at y = 1e150 the numerator overflows and the denominator does
+    not, so the sample is refused although every denominator of its block is large."""
+    block = distortion._BLOCK
+    ops = rational_ops((1e10, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, -40.0, 401.0))
+    ys = np.linspace(10.0, 1e6, 2 * block)
+    ys[block + 5] = 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distortion_of_y_many(ops, ys)
+    assert got[block + 5] == math.inf
+    assert np.isfinite(np.delete(got, block + 5)).all()
+    with np.errstate(over="ignore"):
+        assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_the_scalar_metric_where_one_denominator_alone_overflows():
+    """1/(1e10·y² + 1e20): at y = 1e150 the denominator overflows under a numerator of 1,
+    which every other denominator of the block exceeds by far. ``reference_many`` does
+    not refuse an infinite denominator, so ``distortion_of_y`` is the reference here."""
+    block = distortion._BLOCK
+    ops = rational_ops((0.0, 0.0, 1.0), (1e10, 0.0, 1e20), (0.0, 0.0, 1.0), (1.0, -40.0, 401.0))
+    ys = np.linspace(10.0, 1e6, 2 * block)
+    ys[block + 5] = 1e150
+    got = distortion_of_y_many(ops, ys)
+    assert got[block + 5] == math.inf
+    assert np.isfinite(np.delete(got, block + 5)).all()
+    with pytest.raises(InvalidArgument):
+        distortion_of_y(ops, 1e150)
+    assert all(distortion_of_y(ops, y).hex() == d.hex()
+               for y, d in zip(ys.tolist(), got.tolist()) if d != math.inf)
+
+
+def test_many_matches_reference_where_a_numerator_is_large_and_negative():
+    """-1e20·y²/(1e-10·y² + 1): every sample of [10, 1000] is refused, because its
+    denominator is below 1e-15·|num| although it is far above 1e-15·max(num)."""
+    ops = rational_ops((-1e20, 0.0, 0.0), (1e-10, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, -40.0, 401.0))
+    ys = np.linspace(10.0, 1000.0, distortion._BLOCK + 1)
+    assert np.isinf(distortion_of_y_many(ops, ys)).all()
+    assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_at_zone_edges_on_a_block_boundary():
+    """Samples at p ± half-width and their neighbours, as the least or the greatest
+    sample of a block, one at each side of a block boundary. On the synthetic operands
+    the denominators stay at 1 or more, so there the zone alone refuses a sample."""
+    block = distortion._BLOCK
+    cases = [(rational_ops((0.0, 0.0, 1.0), (1.0, -2.0 * p, p * p + 1.0), (0.0, 1.0, 0.0),
+                           (1.0, 0.0, 1.0)), p, True)
+             for p in (0.0, 1000.5, -3.0e5 - 1.0 / 3.0, 2.0 ** 20 + 0.25)]  # 0: y - p is exact
+    cases += [(ops, p, False) for ops in pi2_ops(10, seed=23) for p in poles(ops)
+              if math.isfinite(p)]
+    for ops, p, zone_alone in cases:
+        half = _exclusion_half_width(p)
+        for side in (-1.0, 1.0):
+            y = np.float64(p + side * half)
+            far = np.linspace(p + side * 1.0, p + side * 100.0, block - 1)
+            for v in (np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)):
+                ys = np.concatenate([far, [v, v], far])  # v ends block 1 and starts block 2
+                got = distortion_of_y_many(ops, ys)
+                assert got[block - 1].tobytes() == got[block].tobytes()
+                if zone_alone:
+                    assert (got[block] == math.inf) == (abs(v - p) <= half)
+                assert_same_as_reference(ops, ys)
+
+
+def test_many_matches_reference_on_signed_zeros_over_two_blocks():
+    ops = rational_ops((0.0, 0.0, -0.0), (1.0, -40.0, 401.0), (0.0, 0.0, -0.0), (1.0, 40.0, 401.0))
+    block = distortion._BLOCK
+    ys = np.linspace(-3.0, 1.0, 2 * block)  # negative throughout block 1, both signs in 2
+    assert (ys[:block + 1] < 0.0).all() and ys[-1] > 0.0
+    got = distortion_of_y_many(ops, ys)
+    assert np.signbit(got).sum() == 0
+    assert_same_as_reference(ops, ys)
