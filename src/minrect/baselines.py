@@ -16,7 +16,6 @@ import numpy as np
 from .distortion import (
     _BLOCK,
     DistortionOperands,
-    _block_buffers,
     _fill_block,
     distortion_of_w,
     moment_matrices,
@@ -63,7 +62,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
     counts = np.arange(min(samples, _BLOCK), dtype=float)
-    ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), _block_buffers(counts.size)
+    ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((2, counts.size))
     while True:
         div, delta = samples - 1, hi - lo
         step = delta / div  # np.linspace's: k·step + lo, or k/div·delta + lo if step is 0
@@ -81,7 +80,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
             if v[j] < best:
                 i, best = start + j, v[j]
         if i < 0:
-            raise EmptyDomain("every sample is pole-excluded or overflowing")
+            raise EmptyDomain("every sample is at a pole or overflows")
         # Python floats: |lo| + |hi| may round up to inf, and then without a warning
         lo, hi, y_best = [hi if k == div else (k * step if step else k / div * delta) + lo
                           for k in (max(i - 1, 0), min(i + 1, div), i)]

@@ -3,8 +3,10 @@
 The metric scores a pair of perspective rows (w vectors) by how far the
 transformations stray from affinity over the pixel grid, as a sum of two
 Rayleigh quotients.  With the horizon parametrised by its y-intercept on
-image 1, both w vectors become affine functions of that single scalar and
-the metric a rational function of it.
+image 1, both w vectors become affine functions of that single scalar, and
+each quotient becomes N_i(y) / g_i(y)^2: N_i a quadratic from M_i, and
+g_i = p_bar^T L_i (0, y, 1) linear, with p_bar the average pixel.  The metric
+has its poles where a g_i vanishes.
 """
 from __future__ import annotations
 
@@ -16,8 +18,6 @@ import numpy as np
 
 from .errors import BadDimensions, DegenerateCenter, InvalidArgument, PoleAtY
 from .geometry import StereoRig, read_only
-
-POLE_HALF_WIDTH = 1e-9  # relative half-width of the exclusion zone around poles
 
 
 @dataclass(frozen=True)
@@ -41,26 +41,22 @@ def moment_matrices(width: int, height: int) -> MomentMatrices:
 
 
 def poles(ops: DistortionOperands) -> tuple[float, float]:
-    """Roots of the two quadratic denominators (each a double root).
-
-    A term with [C_i]_22 == 0 has a denominator that does not depend on y (C_i is
-    rank 1, so [C_i]_23 is 0 too): its pole is at infinity and excludes nothing."""
-    return tuple(-C[1, 2] / C[1, 1] if C[1, 1] != 0.0 else math.inf for C in (ops.C1, ops.C2))
+    """The intercept p of each term, where its g = g1·(y - p) vanishes; inf where g1 == 0,
+    since that term's g = g0 does not depend on y."""
+    return tuple(p for _, _, p, _ in ops.terms)
 
 
-def _exclusion_half_width(pole: float) -> float:
-    return POLE_HALF_WIDTH * (1.0 + abs(pole))
-
-
-def _exclusion_zones(ops: DistortionOperands) -> list[tuple[float, float]]:
-    """(pole, half-width) of each finite pole."""
-    return [(p, _exclusion_half_width(p)) for p in map(float, poles(ops)) if math.isfinite(p)]
-
-
-def _rational_terms(ops: DistortionOperands):
-    """Quadratic numerator/denominator coefficient triples for both terms, as Python floats."""
-    return [((M[1][1], 2.0 * M[1][2], M[2][2]), (C[1][1], 2.0 * C[1][2], C[2][2]))
-            for M, C in ((ops.M1.tolist(), ops.C1.tolist()), (ops.M2.tolist(), ops.C2.tolist()))]
+def _linear_terms(ops: DistortionOperands) -> tuple:
+    """Per term, as Python floats: the coefficients (y², y, 1) of the numerator N from M_i,
+    then g1, p and g0 of the denominator's linear form g, with (g1, g0) = p_bar^T L_i
+    (columns 1 and 2) and p = -g0/g1, so that g = g1·(y - p), or g = g0 where g1 == 0.
+    Near a pole y - p is exact, so g is rounded once and is exactly 0 at p itself."""
+    out = []
+    for L, M, mom in ((ops.L1, ops.M1, ops.moments1), (ops.L2, ops.M2, ops.moments2)):
+        M = M.tolist()
+        _, g1, g0 = (mom.pcpct[2] @ L).tolist()
+        out.append(((M[1][1], 2.0 * M[1][2], M[2][2]), g1, -g0 / g1 if g1 else math.inf, g0))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,7 @@ class DistortionOperands:
     moments2: MomentMatrices
 
     # read by every evaluation of the metric, so built once per instance
-    terms = cached_property(_rational_terms)
-    zones = cached_property(_exclusion_zones)
+    terms = cached_property(_linear_terms)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -152,29 +147,25 @@ def pixel_sum_distortion(w, width: int, height: int) -> float:
     return total
 
 
-def is_admissible(ops: DistortionOperands, y1: float) -> bool:
-    """Whether y1 lies outside both pole-exclusion zones."""
-    return all(abs(y1 - p) > half_width for p, half_width in ops.zones)
-
-
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
     """The metric as a function of the horizon intercept on image 1, defined
     exactly where ``distortion_of_y_many`` reads it finite: ``InvalidArgument``
-    where y1 is not finite or a quadratic form overflows, ``PoleAtY`` where a
-    denominator vanishes or y1 lies in a pole's exclusion zone."""
+    where y1 is not finite or a term's N or g² overflows (|y1| above about 1e154
+    on typical rigs), ``PoleAtY`` where a g² is 0 or the metric exceeds the float range."""
     if not math.isfinite(y1):
         raise InvalidArgument(f"y1 must be finite, got {y1!r}")
     y, total = float(y1), 0.0
-    for (n2, n1, n0), (d2, d1, d0) in ops.terms:
+    for (n2, n1, n0), g1, p, g0 in ops.terms:
         num = (n2 * y + n1) * y + n0
-        den = (d2 * y + d1) * y + d0
-        # finite coefficients and y give inf or NaN only through an overflow
-        if not (math.isfinite(num) and math.isfinite(den)):
+        g = g1 * (y - p) if g1 else g0
+        den = g * g
+        # finite coefficients and y give inf only through an overflow
+        if not (math.isfinite(num) and den < math.inf):
             raise InvalidArgument(f"y1={y1!r} overflows the distortion function")
-        if den <= 1e-15 * max(abs(num), 1.0):
+        if den == 0.0:
             raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
         total += num / den
-    if not is_admissible(ops, y):
+    if not math.isfinite(total):  # next to a pole, beyond the float range
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total
 
@@ -182,54 +173,38 @@ def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
 _BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay in cache
 
 
-def _block_buffers(size: int) -> tuple:
-    """Scratch arrays of ``_fill_block`` for blocks of up to ``size`` samples."""
-    return np.empty((3, size)), np.empty((2, size), dtype=bool)
-
-
-def _fill_block(ops: DistortionOperands, y: np.ndarray, total: np.ndarray, buffers: tuple) -> None:
+def _fill_block(ops: DistortionOperands, y: np.ndarray, total: np.ndarray,
+                buffers: np.ndarray) -> None:
     """Write the metric at the 1-D samples ``y`` into ``total`` with ``distortion_of_y``'s
-    arithmetic, in place in ``buffers``. A refusal mask is skipped where it provably refuses
-    no sample of the block: a term's where min(den) > 1e-15·max(num), -1e-15·min(num) and
-    1e-15 and max(den) < inf, as fl(1e-15·x) is monotone in x; a zone's where fl(min(y) - p)
-    lies above it or fl(max(y) - p) below it, as fl(y - p) is monotone in y. NaN fails all."""
-    k = y.size
-    (nu, de, t), (b, o) = (buf[:, :k] for buf in buffers)
+    arithmetic, in place in ``buffers`` (a (2, n) float array, n >= y.size), +inf where it
+    refuses. Each refusal but one makes the sum non-finite, as N/0 is ±inf or NaN; the one,
+    a g² overflow under a finite N, makes its term 0. So a block takes a mask only where a
+    g² or the sum is not finite."""
+    nu, de = buffers[:, :y.size]
     total.fill(0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (n2, n1, n0), (d2, d1, d0) in ops.terms:
+        for (n2, n1, n0), g1, p, g0 in ops.terms:
             np.multiply(y, n2, out=nu)
             nu += n1
             nu *= y
             nu += n0
-            np.multiply(y, d2, out=de)
-            de += d1
-            de *= y
-            de += d0
-            np.divide(nu, de, out=t)
-            least = de.min()
-            if not (least > 1e-15 and least > 1e-15 * nu.max() and least > -1e-15 * nu.min()
-                    and de.max() < math.inf):  # bad: den <= 1e-15 * max(|num|, 1) or den == +inf
-                np.abs(nu, out=nu)
-                np.maximum(nu, 1.0, out=nu)
-                nu *= 1e-15
-                np.less_equal(de, nu, out=b)
-                np.equal(de, np.inf, out=o)
-                b |= o
-                np.copyto(t, np.inf, where=b)
-            total += t
-    y_min, y_max = y.min(), y.max()
-    for p, half_width in ops.zones:
-        if not (y_min - p > half_width or y_max - p < -half_width):
-            np.subtract(y, p, out=t)
-            np.abs(t, out=t)
-            np.less_equal(t, half_width, out=b)
-            np.copyto(total, np.inf, where=b)
+            if g1:
+                np.subtract(y, p, out=de)
+                de *= g1
+                de *= de
+            else:
+                de.fill(g0 * g0)
+            nu /= de
+            if not de.max() < math.inf:
+                np.copyto(nu, math.inf, where=de == math.inf)
+            total += nu
+        if not (total.max() < math.inf and total.min() > -math.inf):
+            np.copyto(total, math.inf, where=~np.isfinite(total))
 
 
 def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
-    """Vectorised evaluation; a sample next to a pole, or one at which a
-    numerator's or a denominator's quadratic form overflows, comes out as +inf.
+    """Vectorised evaluation, +inf where ``distortion_of_y`` refuses: at a pole, where a
+    term's N or g² overflows, or where the metric exceeds the float range.
 
     Runs over blocks of ``_BLOCK`` samples through one set of buffers, so that
     beyond its output it needs a fixed amount of memory, whatever the size of ``ys``.
@@ -237,7 +212,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     out = np.empty(ys.shape)
     flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
-    buffers = _block_buffers(min(flat_ys.size, _BLOCK))
+    buffers = np.empty((2, min(flat_ys.size, _BLOCK)))
     for start in range(0, flat_ys.size, _BLOCK):
         _fill_block(ops, flat_ys[start:start + _BLOCK], flat_out[start:start + _BLOCK], buffers)
     return out

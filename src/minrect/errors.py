@@ -47,7 +47,7 @@ class AllCoefficientsZero(MinrectError):
 
 
 class NoAdmissibleRoot(MinrectError):
-    """No real stationary point, or every real one is pole-adjacent or overflows."""
+    """No real stationary point, or every real one is at a pole or overflows."""
 
 
 class DegenerateZ(MinrectError):
@@ -68,7 +68,7 @@ class DegenerateOrientation(MinrectError):
 
 
 class EmptyDomain(MinrectError):
-    """Every scan sample is pole-excluded or overflowing."""
+    """Every scan sample is at a pole or overflows."""
 
 
 class MalformedHeader(InputError):

@@ -16,7 +16,7 @@ from minrect.baselines import (
     stress,
 )
 from minrect import baselines, distortion
-from minrect.distortion import _exclusion_half_width, operand_matrices, poles
+from minrect.distortion import operand_matrices, poles
 from minrect.errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
 from minrect.geometry import StereoRig, fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble
@@ -72,7 +72,7 @@ def test_scan_agrees_with_closed_form(rig_d):
 def test_scan_skips_poles():
     """Scanning a window containing a pole still brackets the minimum."""
     from conftest import A_LEFT, make_camera
-    from minrect.distortion import distortion_of_y, is_admissible, poles
+    from minrect.distortion import distortion_of_y, poles
     from minrect.geometry import StereoRig, rotation
 
     # pitch camera 1 so the distortion pole falls inside a modest y-range
@@ -84,8 +84,8 @@ def test_scan_skips_poles():
     y, d = scan_minimize(ops, p1 - half, p1 + half, samples=5001)
     assert np.isfinite(d)
     assert d >= 0.0
-    assert is_admissible(ops, y)
-    assert abs(y - p1) > 1e-9
+    assert distortion_of_y(ops, float(y)) == d
+    assert y != p1
 
 
 def test_scan_requires_samples(rig_d):
@@ -104,7 +104,7 @@ def reference_scan(ops, y_lo, y_hi, samples=200_001):
         ys = np.linspace(lo, hi, samples)
         vals = reference_many(ops, ys)
         if not np.any(np.isfinite(vals)):
-            raise EmptyDomain("every sample is pole-excluded")
+            raise EmptyDomain("every sample is at a pole or overflows")
         i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
         lo = float(ys[max(i - 1, 0)])
         hi = float(ys[min(i + 1, samples - 1)])
@@ -140,29 +140,30 @@ def test_scan_matches_reference_on_rigs_next_to_poles():
 
 
 def test_scan_first_of_equal_minima_wins_across_a_block_boundary():
-    """u²/2¹⁶⁰ + A/(u² + 1) with u = y - c is exactly even in u on the integer grid, and
-    its two equal sample minima lie in different blocks: the first one is kept."""
+    """y²/2¹⁶⁰ + A/y² is exactly even in y on the grid of half-integers, and its two
+    equal sample minima lie in different blocks: the first one is kept."""
     block = distortion._BLOCK
-    c = block - 0.5
-    A = 1e8 * 2.0 ** -160  # minima at u = ±sqrt(1e4 - 1)
-    ops = rational_ops((1.0, -2.0 * c, c * c), (1.0, -2.0 ** 81, 2.0 ** 160),
-                       (0.0, 0.0, A), (1.0, -2.0 * c, c * c + 1.0))
-    samples = 2 * block + 1
-    ys = np.linspace(0.0, samples - 1.0, samples)
+    A = 1e8 * 2.0 ** -160  # minima at y = ±100
+    ops = rational_ops((1.0, 0.0, 0.0), (0.0, 2.0 ** 80), (0.0, 0.0, A), (1.0, 0.0))
+    samples, lo = 2 * block + 1, 0.5 - block  # step 1: sample k is k + lo
+    ys = np.linspace(lo, lo + samples - 1.0, samples)
     vals = reference_many(ops, ys)
     lows = np.flatnonzero(vals == vals.min())
-    assert lows.tolist() == [block - 100, block + 99]  # u = -99.5 and +99.5
-    y, _ = assert_scan_same_as_reference(ops, 0.0, samples - 1.0, samples)
-    assert abs(y - (c - math.sqrt(1e4 - 1.0))) < 1e-6
+    assert lows.tolist() == [block - 101, block + 100]  # y = -100.5 and +100.5
+    y, _ = assert_scan_same_as_reference(ops, lo, lo + samples - 1.0, samples)
+    assert abs(y + 100.0) < 1e-6
 
 
-def test_scan_raises_empty_domain_inside_an_exclusion_zone(rig_d):
+def test_scan_raises_empty_domain_where_every_sample_is_at_a_pole(rig_d):
+    """A span of one pole of rig_d, and any span of a term whose g is 0 everywhere."""
     ops = operand_matrices(rig_d)
-    for p in poles(ops):
-        half = 0.5 * _exclusion_half_width(p)
+    cases = [(ops, p, p) for p in poles(ops)]
+    cases.append((rational_ops((1.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0)),
+                  -4800.0, 4800.0))
+    for ops, lo, hi in cases:
         for fn in (scan_minimize, reference_scan):
             with pytest.raises(EmptyDomain):
-                fn(ops, p - half, p + half, 1001)
+                fn(ops, lo, hi, 1001)
 
 
 def test_scan_over_overflowing_samples_finds_the_minimum_without_a_warning(rig_d):
@@ -183,7 +184,7 @@ def test_scan_takes_integer_bounds_as_floats(rig_d):
 
 def test_scan_stops_without_a_warning_where_its_tolerance_overflows():
     """A flat metric over (1e308, 1.7e308): |lo| + |hi| is beyond the float range."""
-    ops = rational_ops((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    ops = rational_ops((0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert scan_minimize(ops, 1e308, 1.7e308, 1001) == (1e308, 2.0)
@@ -352,7 +353,7 @@ def linspace_scan(ops, y_lo, y_hi, samples=200_001):
             if vals[j] < best:
                 i, best = start + j, vals[j]
         if i < 0:
-            raise EmptyDomain("every sample is pole-excluded or overflowing")
+            raise EmptyDomain("every sample is at a pole or overflows")
         lo, hi = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, samples - 1)])
         if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
             return ys[i], best
@@ -392,19 +393,18 @@ def test_scan_grid_matches_a_whole_linspace_scan():
 
 def test_scan_grid_matches_a_whole_linspace_scan_at_its_last_sample_and_a_zero_step():
     """-y over [-1, 0.3], least at the last sample, which np.linspace sets to 0.3 where
-    k·step + lo reads 0.3 + 5.6e-17; and 1e308·y + 1/(1e308·y + 1) over [0, 2e-321], where
-    the step underflows to 0 and rounding puts the least sample inside the grid."""
+    k·step + lo reads 0.3 + 5.6e-17; and 1e308·y + 1/(5e307·y + 1)² over [0, 2e-321],
+    where the step underflows to 0 and rounding puts the least sample inside the grid."""
     block = distortion._BLOCK
-    cases = [(rational_ops((0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-              -1.0, 0.3),
-             (rational_ops((0.0, 1e308, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1e308, 1.0)),
+    cases = [(rational_ops((0.0, -1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0)), -1.0, 0.3),
+             (rational_ops((0.0, 1e308, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0), (5e307, 1.0)),
               0.0, 2e-321)]
     for ops, lo, hi in cases:
         for samples in (1001, block - 1, block, block + 1, 2 * block + 1, 200_001):
             got = scan_minimize(ops, lo, hi, samples)
             ref = linspace_scan(ops, lo, hi, samples)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
-            assert got[0] == (0.3 if hi == 0.3 else 1.5e-323)
+            assert got[0] == (0.3 if hi == 0.3 else 3e-322)
 
 
 def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):

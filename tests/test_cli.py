@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output schemas, determinism."""
 import dataclasses
 import json
+import math
 import os
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 from minrect import baselines
 from minrect.cli import main
+from minrect.distortion import operand_matrices, poles
 from minrect.rectify import assemble
 from minrect.geometry import rig_to_dict
 from minrect import serialize
@@ -93,6 +95,15 @@ def test_evaluate_y1_matches_rectify(tmp_path, rig_d_path, capsys):
     assert main(["evaluate", rig_d_path, "--y1", str(data["y1"])]) == 0
     printed = float(capsys.readouterr().out.strip())
     assert printed == pytest.approx(data["distortion"], rel=1e-5)
+
+
+def test_evaluate_y1_refuses_only_at_a_pole(rig_d, rig_d_path, capsys):
+    """At each pole of rig_d evaluate exits 3; 1e-3 px away it prints the metric."""
+    for p in map(float, poles(operand_matrices(rig_d))):
+        assert main(["evaluate", rig_d_path, "--y1", repr(p)]) == 3
+        assert "at a pole" in capsys.readouterr().err
+        assert main(["evaluate", rig_d_path, "--y1", repr(p + 1e-3)]) == 0
+        assert 0.0 < float(capsys.readouterr().out) < math.inf
 
 
 def test_evaluate_homographies_affine_zero(tmp_path, rig_d_path, capsys):

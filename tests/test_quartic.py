@@ -2,14 +2,15 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minrect.distortion import (_exclusion_half_width, distortion_of_y, distortion_of_y_many,
-                                is_admissible, operand_matrices, poles)
+from minrect.distortion import (DistortionOperands, distortion_of_y, distortion_of_y_many,
+                                moment_matrices, operand_matrices, poles)
 from minrect.errors import (AllCoefficientsZero, DegenerateC, InvalidArgument, NoAdmissibleRoot,
                             PipelineError, PoleAtY)
 from minrect.quartic import (
@@ -27,10 +28,11 @@ from minrect.quartic import (
 )
 
 from conftest import A_LEFT, make_camera
+from minrect.baselines import random_rig
 from minrect.geometry import StereoRig
 from minrect.rectify import assemble
 from test_acceptance import scan_gap
-from test_distortion import pi2_ops, rational_ops
+from test_distortion import float_forms, near_pole_samples, pi2_ops, rational_ops
 from test_small_c22 import two_cameras
 
 
@@ -86,7 +88,7 @@ def test_quartic_roots_are_stationary_points(rig_d):
     roots = solve_quartic(problem)
 
     for r in roots.roots:
-        if not is_admissible(ops, r):
+        if distortion_of_y_many(ops, r) == math.inf:
             continue
         h = 1e-4 * (1.0 + abs(r))  # relative step keeps the oracle accurate
 
@@ -255,20 +257,20 @@ def test_select_minimum_beats_dense_scan(rig_d):
     assert d_star <= d_scan + 1e-9 * (1.0 + d_scan)
 
 
-# 1/(y² - 6y + 8) has its pole zone at 3 but a zero denominator at 2 and 4.
-POLE_OPS = rational_ops((1, 0, 0), (1, -6, 8), (0, 0, 1), (1, -40, 401))
+# y²/(y - 2)² + 1/(y - 20)²: g of the first term is 0 at y = 2.
+POLE_OPS = rational_ops((1, 0, 0), (1, -2), (0, 0, 1), (1, -20))
 
 
 def test_select_minimum_skips_admissible_root_with_zero_denominator():
     roots = RootSet(roots=(2.0, 10.0), residuals=(0.0, 0.0))
     y_star, d_star = select_minimum(POLE_OPS, None, roots)
     assert y_star == 10.0
-    assert d_star == 100.0 / 48.0 + 1.0 / 101.0
+    assert d_star == 100.0 / 64.0 + 1.0 / 100.0
 
 
 def test_select_minimum_names_why_no_root_is_left():
     with pytest.raises(NoAdmissibleRoot, match="every real stationary point is pole-adjacent"):
-        select_minimum(POLE_OPS, None, RootSet(roots=(3.0,), residuals=(0.0,)))
+        select_minimum(POLE_OPS, None, RootSet(roots=(2.0,), residuals=(0.0,)))
     with pytest.raises(NoAdmissibleRoot, match="no real stationary point"):
         select_minimum(POLE_OPS, None, RootSet(roots=(), residuals=()))
 
@@ -313,14 +315,9 @@ def test_rig_without_real_stationary_point_fails_by_name_or_hits_scan():
 
 def contract_samples(ops) -> np.ndarray:
     """A grid over +-10 image heights, four huge intercepts, and each finite pole
-    and zone edge with its two neighbouring floats."""
+    with its two neighbouring floats and the samples 1e-3 to 10 px from it."""
     ys = [np.linspace(-4800.0, 4800.0, 41), [1e150, -1e150, 1e200, -1e200]]
-    for p in poles(ops):
-        if math.isfinite(p):
-            half = _exclusion_half_width(p)
-            for centre in (p, p - half, p + half):
-                y = np.float64(centre)
-                ys.append([np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)])
+    ys += [near_pole_samples(p) for p in poles(ops) if math.isfinite(p)]
     return np.concatenate(ys)
 
 
@@ -356,26 +353,60 @@ def test_metric_and_selection_share_one_contract_on_seeded_rigs():
         assert_one_contract(ops, ys, list(solve_quartic(quartic_coefficients(ops)).roots))
 
 
-def test_metric_refuses_inside_a_zone_where_the_denominator_test_passes():
-    """The first term's pole is at 0 and its denominator there, 1.2e-15, is
-    above the test's 1e-15: the zone alone makes y = 0 undefined."""
-    ops = rational_ops((1, 0, 0), (1e-300, 0, 1.2e-15), (0, 0, 1), (1, -40, 401))
-    ys = np.concatenate([contract_samples(ops), [0.0, 1.0]])
-    assert distortion_of_y_many(ops, [0.0]).tolist() == [math.inf]
-    assert_one_contract(ops, ys, [0.0])
-    assert_one_contract(ops, ys, [0.0, 1.0])
+def test_metric_is_defined_one_float_from_a_pole():
+    """(y² + 1)/(y - 1)²: y = 1 alone is undefined. One float above it g² is about
+    4.9e-32, and the metric, about 8e31, is a root that selection may keep."""
+    ops = rational_ops((1, 0, 1), (1, -1), (0, 0, 1), (0, 1))
+    above = math.nextafter(1.0, 2.0)
+    ys = np.concatenate([contract_samples(ops), [0.0, 1.0, above]])
+    assert distortion_of_y_many(ops, [1.0]).tolist() == [math.inf]
+    assert 1e31 < distortion_of_y(ops, above) < math.inf
+    assert_one_contract(ops, ys, [1.0])
+    assert_one_contract(ops, ys, [1.0, above])
+    assert_one_contract(ops, ys, [1.0, above, 0.0])
 
 
 def test_selection_skips_a_root_where_only_a_denominator_overflows():
-    """y²/(1e10·y² + 1) is least at y = 1; at 1e150 its denominator overflows
+    """y²/(1e5·y)² is 1e-10 wherever it is defined; at 1e150 its g² overflows
     while its numerator does not."""
-    ops = rational_ops((1, 0, 0), (1e10, 0, 1), (0, 0, 0), (0, 0, 1))
+    ops = rational_ops((1, 0, 0), (1e5, 0), (0, 0, 0), (0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y_star, d_star = select_minimum(ops, None, RootSet(roots=(1.0, 1e150),
                                                            residuals=(0.0, 0.0)))
-    assert (y_star, d_star) == (1.0, 1.0 / (1e10 + 1.0))
+    assert (y_star, d_star) == (1.0, 1e-10)
     assert_one_contract(ops, contract_samples(ops), [1.0, 1e150])
+
+
+def exact_metric(ops, y: float) -> Fraction:
+    """The metric of the float forms (N's coefficients, g1, p and g0) at y, in exact
+    rational arithmetic."""
+    Y, total = Fraction(y), Fraction(0)
+    for (n2, n1, n0), g1, p, g0 in float_forms(ops):
+        g = Fraction(float(g1)) * (Y - Fraction(float(p))) if g1 else Fraction(float(g0))
+        num = (Fraction(float(n2)) * Y + Fraction(float(n1))) * Y + Fraction(float(n0))
+        total += num / g ** 2
+    return total
+
+
+def test_metric_next_to_poles_is_accurate_and_shares_one_contract():
+    """1e-3 to 10 px from each finite pole and at random intercepts of seeded pi/2 rigs,
+    the metric has a value within 1e-12 relative of exact arithmetic on its float forms;
+    y - p is exact there, so g is rounded once. distortion_of_y gives those bits."""
+    rng = np.random.default_rng(5)
+    count = 0
+    for _ in range(60):
+        ops = operand_matrices(random_rig(rng, max_angle=math.pi / 2))
+        ys = np.concatenate([rng.uniform(-4800.0, 4800.0, 4)]
+                            + [near_pole_samples(p)[3:] for p in poles(ops) if math.isfinite(p)])
+        vals = distortion_of_y_many(ops, ys)
+        assert np.isfinite(vals).all()
+        for y, value in zip(ys.tolist(), vals.tolist()):
+            exact = exact_metric(ops, y)
+            assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 12) * abs(exact), y
+        assert_one_contract(ops, ys, ys.tolist())
+        count += ys.size
+    assert count >= 1000
 
 
 # --- the root path against the four-level degree chain it replaced ------------
@@ -554,6 +585,18 @@ def test_solver_matches_reference_bit_for_bit():
     assert count == 100_000
 
 
+def quadratic_form_ops(num1, den1, num2, den2):
+    """Operands for ``quartic_coefficients``, which reads only M_i and C_i: each a
+    coefficient triple (y², y, 1) of a quadratic form, C_i of any rank. Their metric
+    is not read, so L_i is left at the identity."""
+    def form(a, b, c):
+        return np.array([[0.0, 0.0, 0.0], [0.0, a, b / 2.0], [0.0, b / 2.0, c]])
+
+    m = moment_matrices(2, 2)
+    return DistortionOperands(L1=np.eye(3), L2=np.eye(3), M1=form(*num1), M2=form(*num2),
+                              C1=form(*den1), C2=form(*den2), moments1=m, moments2=m)
+
+
 def cancelling_ops(rng):
     """A rational metric whose stationarity polynomial loses its y^4 term
     exactly and its y^3 term exactly or up to a relative 1e-16..1e-12 change
@@ -562,8 +605,9 @@ def cancelling_ops(rng):
     m1, m2, y11 = rng.integers(-5, 6, 3).astype(float)
     y12 = y11 * beta + m2
     y22 = (y12 * beta + m1 + 3 * m2 * beta) * (1.0 + rng.choice((0.0, 1e-16, 1e-14, 1e-12)))
-    return rational_ops((rng.integers(-5, 6), -2.0 * m2, -m1), (1.0, 0.0, rng.integers(1, 6)),
-                        (y11, 2.0 * y12, y22), (1.0, 2.0 * beta, rng.integers(1, 6)))
+    return quadratic_form_ops((rng.integers(-5, 6), -2.0 * m2, -m1),
+                              (1.0, 0.0, rng.integers(1, 6)), (y11, 2.0 * y12, y22),
+                              (1.0, 2.0 * beta, rng.integers(1, 6)))
 
 
 def test_degenerate_matches_reference_formula():
@@ -619,7 +663,7 @@ def spread_ops(rng, decades: float):
     """A rational metric whose six quadratic forms have entries of random sign
     and magnitude up to 10**decades either way."""
     forms = rng.choice((-1.0, 1.0), (4, 3)) * 10.0 ** rng.uniform(-decades, decades, (4, 3))
-    return rational_ops(*forms.tolist())
+    return quadratic_form_ops(*forms.tolist())
 
 
 def test_coefficients_match_the_numpy_scalar_formula_bit_for_bit():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from minrect.baselines import SCAN_GAP_LIMIT, fusiello_rectify, random_rig
-from minrect.distortion import distortion_of_y, is_admissible, operand_matrices, w_from_y
+from minrect.distortion import distortion_of_y, operand_matrices, w_from_y
 from minrect.errors import CollapsedMidlines, DegenerateZ, PipelineError
 from minrect.geometry import StereoRig, fundamental_matrix, epipoles, normalize_matrix, project
 from minrect.rectify import (
@@ -208,9 +208,8 @@ def test_assemble_beats_random_y(rig_d):
     pair = assemble(rig_d)
     ops = operand_matrices(rig_d)
     rng = np.random.default_rng(43)
-    for y in rng.uniform(-4800, 4800, size=1000):
-        if is_admissible(ops, float(y)):
-            assert pair.distortion <= distortion_of_y(ops, float(y)) + 1e-9
+    for y in rng.uniform(-4800, 4800, size=1000):  # none of them at a pole
+        assert pair.distortion <= distortion_of_y(ops, float(y)) + 1e-9
 
 
 def test_perturbed_orientation_breaks_alignment(rig_d):

@@ -16,13 +16,14 @@ import pytest
 from minrect import serialize
 from minrect.cli import main
 from minrect.baselines import scan_minimize
-from minrect.distortion import distortion_of_y_many, is_admissible, operand_matrices, poles
+from minrect.distortion import distortion_of_y, distortion_of_y_many, operand_matrices, poles
 from minrect.errors import DegenerateC, PipelineError
 from minrect.geometry import Camera, StereoRig, rig_to_dict, rotation
 from minrect.quartic import quartic_coefficients
 from minrect.rectify import assemble
 
 from test_acceptance import alignment_residual, scan_gap
+from test_distortion import assert_same_as_reference
 from test_rectify import rectified_residual
 
 A_800 = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
@@ -128,13 +129,24 @@ def test_y_independent_denominators_have_no_pole():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert poles(ops) == (math.inf, math.inf)
-        assert is_admissible(ops, 0.0) and is_admissible(ops, 240.0)
+        assert distortion_of_y(ops, 0.0) > 0.0 and distortion_of_y(ops, 240.0) >= 0.0
         y, d = scan_minimize(ops, -4810.0, 4810.0)
         assert d == 0.0 and abs(y - 240.0) <= 1e-4
         assert np.isfinite(distortion_of_y_many(ops, np.linspace(-4810.0, 4810.0, 1001))).all()
         with pytest.raises(PipelineError) as exc:
             assemble(rig)
     assert isinstance(exc.value.cause, DegenerateC)
+
+
+def test_y_independent_denominators_match_the_whole_array_reference():
+    """Where g1 == 0 each term's g is the constant g0: distortion_of_y_many reads the
+    reference's bits at every sample, huge and non-finite ones too."""
+    A = np.array([[512.0, 0.0, 320.0], [0.0, 512.0, 240.0], [0.0, 0.0, 1.0]])
+    ops = operand_matrices(two_cameras(A, A, np.eye(3), (-1.0, 0.0, 0.0), 641, 481))
+    ys = np.concatenate([np.linspace(-4810.0, 4810.0, 20_001),
+                         [1e150, -1e150, 1e200, -1e300, math.inf, -math.inf, math.nan]])
+    assert poles(ops) == (math.inf, math.inf)
+    assert_same_as_reference(ops, ys)
 
 
 def test_overflowing_coefficients_raise_without_warning(rig_d):
