@@ -14,8 +14,7 @@ import numpy as np
 
 from . import baselines, serialize, synth
 from .distortion import distortion_of_w, distortion_of_y, moment_matrices, operand_matrices
-from .errors import (InputError, InvalidArgument, InvalidCalibration, MinrectError,
-                     SingularHomography)
+from .errors import InputError, InvalidArgument, InvalidCalibration, MinrectError
 from .geometry import load_calibration, load_json, rig_to_dict
 from .quartic import quartic_coefficients, solve_quartic
 from .rectify import assemble
@@ -56,19 +55,13 @@ def _homography(data: dict, key: str) -> np.ndarray:
     return H
 
 
-def _extract_w(H: np.ndarray) -> np.ndarray:
-    if abs(H[2, 2]) <= 1e-15 * np.abs(H).max():
-        raise SingularHomography("homography cannot be normalised: last element is zero")
-    return H[2, :] / H[2, 2]
-
-
 def _cmd_evaluate(args) -> int:
     rig = load_calibration(args.calibration)
     if args.y1 is not None:
         value = distortion_of_y(operand_matrices(rig), args.y1)
-    else:  # needs only the image sizes, not A*R
+    else:  # needs only the image sizes, not A*R; the metric ignores the scale of each row
         data = load_json(args.homographies)
-        w1, w2 = (_extract_w(_homography(data, key)) for key in ("H1", "H2"))
+        w1, w2 = (_homography(data, key)[2] for key in ("H1", "H2"))
         moments = (moment_matrices(cam.width, cam.height) for cam in (rig.cam1, rig.cam2))
         value = distortion_of_w(w1, w2, *moments)
     print(_format_distortion(value))

@@ -105,28 +105,29 @@ def w_from_y_raw(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.nda
 
 
 def w_from_y(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Perspective rows for a horizon intercept, rescaled to third component 1;
-    ``PoleAtY`` where a row's third component is 0, which is not a pole of the metric."""
-    w1, w2 = w_from_y_raw(ops, y1)
-    out = []
-    for w in (w1, w2):
-        if abs(w[2]) <= 1e-12 * (1.0 + np.linalg.norm(w)):
-            raise PoleAtY(f"y1={y1!r}: a row cannot be rescaled to third component 1")
-        out.append(w / w[2])
-    return out[0], out[1]
-
-
-def _quotient(w: np.ndarray, mom: MomentMatrices) -> float:
-    num = float(w @ mom.ppt @ w)
-    den = float(w @ mom.pcpct @ w)
-    if den <= 1e-15 * max(num, 1.0):
-        raise DegenerateCenter("average-pixel denominator vanishes")
-    return num / den
+    """Perspective rows for a horizon intercept, rescaled to third component 1; ``PoleAtY``
+    where a rescaled row is not finite, as where w[2] is 0, which is not a pole of the metric."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w1, w2 = (w / w[2] for w in w_from_y_raw(ops, y1))
+    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+        raise PoleAtY(f"y1={y1!r}: a row cannot be rescaled to third component 1")
+    return w1, w2
 
 
 def distortion_of_w(w1, w2, m1: MomentMatrices, m2: MomentMatrices) -> float:
-    """Two-term Rayleigh-quotient metric for a pair of perspective rows."""
-    return _quotient(np.asarray(w1, dtype=float), m1) + _quotient(np.asarray(w2, dtype=float), m2)
+    """Two-term Rayleigh-quotient metric for a pair of perspective rows, each term N/g² with
+    N = wᵀ·ppt·w and g = p̄ᵀw (p̄ the average pixel, the last row of pcpct): homogeneous of
+    degree 0 in each row, and ``DegenerateCenter`` only where a g² is 0 or a value not finite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for w, mom in ((np.asarray(w1, dtype=float), m1), (np.asarray(w2, dtype=float), m2)):
+            num, g = float(w @ mom.ppt @ w), float(mom.pcpct[2] @ w)
+            if g * g == 0.0:  # tested first: Python's float division by 0 raises
+                raise DegenerateCenter("w is orthogonal to the average pixel")
+            total += num / (g * g)
+    if not math.isfinite(total):  # each N/g² is >= 0, +inf or NaN, so this sees every term
+        raise DegenerateCenter("the distortion metric of these rows is not finite")
+    return total
 
 
 def pixel_sum_distortion(w, width: int, height: int) -> float:
@@ -136,14 +137,14 @@ def pixel_sum_distortion(w, width: int, height: int) -> float:
     w = np.asarray(w, dtype=float)
     pc = np.array([(width - 1) / 2.0, (height - 1) / 2.0, 1.0])
     den = float(w @ pc)
-    if abs(den) <= 1e-15 * max(abs(w[0]) * width, abs(w[1]) * height, abs(w[2]), 1.0):
+    if den == 0.0:
         raise DegenerateCenter("w is orthogonal to the average pixel")
     total = 0.0
     for y in range(height):
         for x in range(width):
             p = np.array([float(x), float(y), 1.0])
-            num = float(w @ (p - pc))
-            total += (num / den) ** 2
+            r = float(w @ (p - pc)) / den
+            total += r * r  # inf, where ** 2 would raise OverflowError
     return total
 
 

@@ -225,8 +225,8 @@ def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
     """Pick the stationary point with the least distortion.
 
     Ties break toward smaller |y1|; ``problem`` is not read.  A root at which
-    ``distortion_of_y`` refuses (next to a pole, where the function diverges, or
-    where a quadratic form overflows) is skipped, as the scan skips its +inf samples.
+    ``distortion_of_y`` refuses (at a pole, where the function leaves the float range,
+    or where a term's N or g² overflows) is skipped, as the scan skips its +inf samples.
     """
     best = None
     for r in roots.roots:

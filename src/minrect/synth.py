@@ -58,13 +58,12 @@ def _plane_homography(cam: Camera) -> np.ndarray:
 
 def render_view(cam: Camera) -> ImageBuffer:
     """Render the textured plane into the camera; gray background outside."""
-    px, py, _ = source_coords(np.linalg.inv(_plane_homography(cam)), cam.width, cam.height)
+    px, py = source_coords(np.linalg.inv(_plane_homography(cam)), cam.width, cam.height)
     tex = _texture(px, py)
     # NaN fails every range comparison and +-inf fails one of them
     on_plane = (px >= -2.0) & (px <= 3.0) & (py >= -2.0) & (py <= 2.0)
     gray = np.where(on_plane, tex, 20.0).astype(np.uint8)
-    rgb = np.stack([gray, gray, gray], axis=-1)
-    return from_array(rgb)
+    return from_array(np.stack([gray, gray, gray], axis=-1))
 
 
 def correspondences(rig: StereoRig) -> np.ndarray:

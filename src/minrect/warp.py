@@ -24,30 +24,36 @@ class ImageBuffer:
     def __post_init__(self):
         if self.channels not in (1, 3):
             raise InvalidArgument("channels must be 1 or 3")
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        arr = np.asarray(self.data)  # uint8 is taken as is; nothing else wraps or truncates
+        if arr.dtype != np.uint8:  # NaN and +-inf fail the range test, with no warning
+            if arr.dtype.kind not in "biuf" or not np.all((arr >= 0) & (arr <= 255)
+                                                         & (np.floor(arr) == arr)):
+                raise InvalidArgument(f"{arr.dtype} image data must hold integers in 0..255")
+            arr = arr.astype(np.uint8)
+        arr = np.ascontiguousarray(arr)
         if arr.shape != (self.height, self.width, self.channels):
             raise InvalidArgument("data shape does not match declared dimensions")
         object.__setattr__(self, "data", read_only(arr))
 
 
 def from_array(arr: np.ndarray) -> ImageBuffer:
-    """Wrap a (h, w) or (h, w, c) uint8 array."""
+    """Wrap a (h, w) or (h, w, c) array, as ``ImageBuffer`` takes its data."""
     arr = np.asarray(arr)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     h, w, c = arr.shape
-    return ImageBuffer(width=w, height=h, channels=c, data=arr.astype(np.uint8))
+    return ImageBuffer(width=w, height=h, channels=c, data=arr)
 
 
 def source_coords(Hinv: np.ndarray, width: int, height: int, first_row: int = 0):
-    """Source (x, y, w) of the pixels in rows ``first_row``..``height - 1`` of a
-    width x height output under ``Hinv``: x and y dehomogenised (non-finite where w
-    is zero), w the homogeneous scale."""
+    """Source (x, y) of the pixels in rows ``first_row``..``height - 1`` of a width x height
+    output under ``Hinv``, dehomogenised with no tolerance (non-finite where the scale is 0
+    or a quotient overflows), so a power-of-two scale of ``Hinv`` keeps their bits."""
     xs, ys = np.meshgrid(np.arange(width, dtype=float),
                          np.arange(first_row, height, dtype=float))
     src = np.tensordot(Hinv, np.stack([xs, ys, np.ones_like(xs)]), axes=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return src[0] / src[2], src[1] / src[2], src[2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return src[0] / src[2], src[1] / src[2]
 
 
 MAX_OUTPUT_PIXELS = 1 << 26  # 8192 x 8192: the largest canvas a map is built for
@@ -57,9 +63,9 @@ _BLOCK_PIXELS = 1 << 15  # output pixels per block in RectifyMap.build and apply
 def _gather_rows(Hinv: np.ndarray, src_w: int, src_h: int, out_w: int, r0: int,
                  r1: int) -> tuple:
     """dst, src, fx, fy of the valid output pixels in rows r0..r1-1 (see RectifyMap)."""
-    sx, sy, sw = source_coords(Hinv, out_w, r1, first_row=r0)
+    sx, sy = source_coords(Hinv, out_w, r1, first_row=r0)
     # NaN fails every range comparison and +-inf fails one of them
-    valid = (np.abs(sw) > 1e-12) & (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
+    valid = (sx >= 0) & (sx <= src_w - 1) & (sy >= 0) & (sy <= src_h - 1)
     flat = np.flatnonzero(valid)
     sx = sx.ravel()[flat]
     sy = sy.ravel()[flat]

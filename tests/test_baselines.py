@@ -3,6 +3,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from minrect.baselines import (
     stress,
 )
 from minrect import baselines, distortion
-from minrect.distortion import operand_matrices, poles
+from minrect.distortion import distortion_of_w, moment_matrices, operand_matrices, poles
 from minrect.errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
 from minrect.geometry import StereoRig, fundamental_matrix, normalize_matrix, optical_center
-from minrect.rectify import assemble
+from minrect.rectify import assemble, orientation
 from minrect import serialize
 
 from test_distortion import rational_ops, reference_many
@@ -42,6 +43,31 @@ def test_fusiello_dominated_by_direct(rig_d):
 def test_fusiello_rectified_form(rig_d):
     base = fusiello_rectify(rig_d)
     assert rectified_residual(rig_d, base) <= 1e-7
+
+
+def exact_quotient(w, mom):
+    """N/g² of one row in exact arithmetic on the same floats as distortion_of_w."""
+    w = [Fraction(float(v)) for v in w]
+    num = sum(Fraction(float(mom.ppt[i, i])) * w[i] ** 2 for i in range(3))
+    g = sum(Fraction(float(p)) * v for p, v in zip(mom.pcpct[2], w))
+    return num / g ** 2
+
+
+def test_fusiello_metric_is_within_1e13_of_exact_arithmetic():
+    """The baseline's rows on 1 000 pi/2 rigs: w·pcpct·w as a quadratic form was off by up
+    to 1.0e-11 relative (draw 279), N/g² with g = p_bar^T w by 3.4e-14."""
+    rng = np.random.default_rng(5)
+    for k in range(1000):
+        rig = random_rig(rng, max_angle=math.pi / 2)
+        try:
+            R = orientation(rig, rig.cam1.axis)
+        except MinrectError:
+            continue
+        w1, w2 = (R[2] @ cam.projection_inv for cam in (rig.cam1, rig.cam2))
+        m1, m2 = (moment_matrices(cam.width, cam.height) for cam in (rig.cam1, rig.cam2))
+        exact = exact_quotient(w1, m1) + exact_quotient(w2, m2)
+        got = distortion_of_w(w1, w2, m1, m2)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact, k
 
 
 def test_fusiello_rejects_axis_along_baseline():
@@ -122,8 +148,7 @@ def assert_scan_same_as_reference(ops, y_lo, y_hi, samples=200_001):
 
 def test_scan_matches_reference_on_seeded_rigs():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        rig = random_rig(rng, max_angle=math.pi / 2)
+    for rig in [random_rig(rng, max_angle=math.pi / 2) for _ in range(20)] + fault_rigs():
         h = rig.cam1.height
         assert_scan_same_as_reference(operand_matrices(rig), -10.0 * h, 10.0 * h)
 

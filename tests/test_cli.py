@@ -128,6 +128,34 @@ def test_evaluate_homographies_needs_only_the_image_sizes(tmp_path, capsys):
     assert capsys.readouterr().out == "0.000000\n"
 
 
+def test_evaluate_homographies_ignores_the_scale_of_h(tmp_path, rig_d_path, capsys):
+    """The metric is homogeneous in each third row, so 2^40·H1 prints the same line."""
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", rig_d_path, "-o", out]) == 0
+    data = json.loads(open(out).read())
+    capsys.readouterr()
+    assert main(["evaluate", rig_d_path, "--homographies", out]) == 0
+    line = capsys.readouterr().out
+    data["H1"] = (2.0 ** 40 * np.array(data["H1"])).tolist()
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(data))
+    assert main(["evaluate", rig_d_path, "--homographies", str(scaled)]) == 0
+    assert capsys.readouterr().out == line
+
+
+def test_evaluate_homographies_accepts_a_zero_last_element(tmp_path, rig_d, rig_d_path, capsys):
+    """A third row (1, 0, 0) is not orthogonal to the average pixel: its metric is defined."""
+    from minrect.distortion import distortion_of_w, moment_matrices
+
+    swap = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]  # x <-> w, determinant -1
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({"H1": swap, "H2": np.eye(3).tolist()}))
+    assert main(["evaluate", rig_d_path, "--homographies", str(hpath)]) == 0
+    m1, m2 = (moment_matrices(cam.width, cam.height) for cam in (rig_d.cam1, rig_d.cam2))
+    expected = distortion_of_w(swap[2], [0.0, 0.0, 1.0], m1, m2)
+    assert capsys.readouterr().out == format(expected, ".6g") + "\n"
+
+
 def test_evaluate_non_normalisable(tmp_path, rig_d_path):
     hpath = tmp_path / "h.json"
     H = np.eye(3)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minrect import distortion
@@ -178,8 +178,14 @@ def test_matrix_form_equals_pixel_sum_random(seed):
                                        rel=1e-9, abs=1e-15)
 
 
-@given(st.floats(-10, 10).filter(lambda v: abs(v) >= 0.1),
-       st.floats(-10, 10).filter(lambda v: abs(v) >= 0.1))
+# ±2^k scales every product of N and g² by a power of two, so it leaves N/g²'s bits
+POWERS_OF_TWO = [sign * 2.0 ** k for k in range(-60, 61) for sign in (1.0, -1.0)]
+
+
+@given(st.floats(-10, 10).filter(lambda v: abs(v) >= 0.1) | st.sampled_from(POWERS_OF_TWO),
+       st.floats(-10, 10).filter(lambda v: abs(v) >= 0.1) | st.sampled_from(POWERS_OF_TWO))
+@example(2.0 ** -60, 2.0 ** 60)
+@example(-(2.0 ** 60), 2.0 ** -30)
 @settings(max_examples=40, deadline=None)
 def test_distortion_degree_zero_homogeneity(lam, mu):
     m = moment_matrices(32, 24)
@@ -187,7 +193,10 @@ def test_distortion_degree_zero_homogeneity(lam, mu):
     w2 = np.array([-0.003, 0.0005, 1.0])
     base = distortion_of_w(w1, w2, m, m)
     scaled = distortion_of_w(lam * w1, mu * w2, m, m)
-    assert scaled == pytest.approx(base, rel=1e-12)
+    if lam in POWERS_OF_TWO and mu in POWERS_OF_TWO:
+        assert scaled == base
+    else:
+        assert scaled == pytest.approx(base, rel=1e-12)
 
 
 def test_distortion_of_y_consistent_paths(rig_d):
@@ -292,6 +301,20 @@ def test_distortion_of_w_rejects_row_through_the_average_pixel():
     m = moment_matrices(640, 480)
     with pytest.raises(DegenerateCenter):
         distortion_of_w(W_THROUGH_CENTER, [0.0, 0.0, 1.0], m, m)
+
+
+def test_distortion_of_w_refuses_only_where_g_is_zero_or_a_value_is_not_finite():
+    """One float off the average pixel's plane the metric has a value; a row whose N, or
+    whose N/g², leaves the float range is refused, with no numpy warning."""
+    m = moment_matrices(640, 480)
+    near = W_THROUGH_CENTER + [0.0, 0.0, np.nextafter(-319.5, 0.0) + 319.5]
+    assert 0.0 < distortion_of_w(near, [0.0, 0.0, 1.0], m, m) < math.inf
+    assert distortion_of_w([0.0, 0.0, 1e200], [0.0, 0.0, 2.0 ** -500], m, m) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in ([1e200, 0.0, 1.0], [1e160, 1e160, 1e155], [math.nan, 0.0, 1.0]):
+            with pytest.raises(DegenerateCenter, match="not finite"):
+                distortion_of_w(w, [0.0, 0.0, 1.0], m, m)
 
 
 def test_pixel_sum_distortion_rejects_tiny_image_and_row_through_center():

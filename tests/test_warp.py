@@ -1,16 +1,18 @@
 """Image warping and PNM I/O."""
 import collections
 import io
+import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from minrect import warp
-from minrect.errors import (InvalidCalibration, MalformedHeader, SingularHomography,
-                            UnsupportedMaxval)
+from minrect.errors import (InvalidArgument, InvalidCalibration, MalformedHeader,
+                            SingularHomography, UnsupportedMaxval)
 from minrect.geometry import Camera, StereoRig, optical_center
 from minrect.rectify import assemble
 from minrect.synth import correspondences, render_view, synth_rig
@@ -150,6 +152,22 @@ def test_image_buffer_validates_shape():
 def test_image_buffer_rejects_two_channels():
     with pytest.raises(ValueError, match="channels must be 1 or 3"):
         ImageBuffer(width=2, height=2, channels=2, data=np.zeros((2, 2, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [300, -1, 1.7, math.nan, math.inf, -math.inf, 2 ** 70])
+def test_image_buffer_refuses_samples_that_uint8_would_wrap(value):
+    """300 used to become 44, -1 255, 1.7 1 and NaN 0 (with a numpy warning)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="integers in 0..255"):
+            from_array(np.full((2, 3), value))
+
+
+def test_image_buffer_converts_whole_numbers_and_takes_uint8_without_a_copy():
+    assert from_array(np.array([[0.0, 255.0, 7.0]])).data.ravel().tolist() == [0, 255, 7]
+    assert from_array(np.array([[0, 255, 7]], dtype=np.int64)).data.ravel().tolist() == [0, 255, 7]
+    arr = np.arange(20, dtype=np.uint8).reshape(4, 5)
+    assert np.shares_memory(from_array(arr).data, arr)
 
 
 def test_pnm_rescales_small_maxval(tmp_path):
@@ -363,8 +381,8 @@ def reference_warp(img, H, out_w, out_h):
     except np.linalg.LinAlgError as exc:
         raise SingularHomography(str(exc)) from exc
 
-    sx, sy, sw = source_coords(Hinv, out_w, out_h)
-    valid = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sw) > 1e-12)
+    sx, sy = source_coords(Hinv, out_w, out_h)
+    valid = np.isfinite(sx) & np.isfinite(sy)
     valid &= (sx >= 0) & (sx <= img.width - 1) & (sy >= 0) & (sy <= img.height - 1)
     sx = np.where(valid, sx, 0.0)
     sy = np.where(valid, sy, 0.0)
@@ -437,6 +455,17 @@ def test_warp_matches_reference_on_one_pixel_wide_sources(shape):
     H = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.0]])
     assert_same_as_reference(img, H, 12, 12)
     assert_same_as_reference(img, np.eye(3), *img.data.shape[1::-1])
+
+
+def test_warp_ignores_a_power_of_two_scale_of_h():
+    """H is defined up to scale, and 2^k·H maps every pixel through the same bits."""
+    rig = synth_rig(1)
+    pair = assemble(rig)
+    for cam, H in ((rig.cam1, pair.H1), (rig.cam2, pair.H2)):
+        img = render_view(cam)
+        base = warp_image(img, H, *pair.output_size).data.tobytes()
+        for k in (-60, -40, 40, 60):
+            assert warp_image(img, 2.0 ** k * H, *pair.output_size).data.tobytes() == base, k
 
 
 def test_warp_alternating_homographies_match_fresh_maps():
