@@ -115,17 +115,19 @@ def w_from_y(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.ndarray
 
 
 def distortion_of_w(w1, w2, m1: MomentMatrices, m2: MomentMatrices) -> float:
-    """Two-term Rayleigh-quotient metric for a pair of perspective rows, each term N/g² with
-    N = wᵀ·ppt·w and g = p̄ᵀw (p̄ the average pixel, the last row of pcpct): homogeneous of
-    degree 0 in each row, and ``DegenerateCenter`` only where a g² is 0 or a value not finite."""
+    """Two-term Rayleigh-quotient metric of two perspective rows: each term is N/g² with
+    N = wᵀ·ppt·w and g = p̄ᵀw (p̄ the average pixel) on w times a power of two, so any finite
+    nonzero scale of w gives the same bits; ``DegenerateCenter`` only where it is not finite."""
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for w, mom in ((np.asarray(w1, dtype=float), m1), (np.asarray(w2, dtype=float), m2)):
+    with np.errstate(over="ignore", invalid="ignore"):  # ±inf or NaN in w is refused below
+        for w, mom in ((w1, m1), (w2, m2)):
+            w = np.asarray(w, dtype=float)
+            w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])  # largest magnitude in [0.5, 1)
             num, g = float(w @ mom.ppt @ w), float(mom.pcpct[2] @ w)
             if g * g == 0.0:  # tested first: Python's float division by 0 raises
-                raise DegenerateCenter("w is orthogonal to the average pixel")
+                raise DegenerateCenter("w is (nearly) orthogonal to the average pixel: not finite")
             total += num / (g * g)
-    if not math.isfinite(total):  # each N/g² is >= 0, +inf or NaN, so this sees every term
+    if not math.isfinite(total):  # g² < inf, so each N/g² is >= 0, +inf or NaN: all seen here
         raise DegenerateCenter("the distortion metric of these rows is not finite")
     return total
 

@@ -63,7 +63,8 @@ def render_view(cam: Camera) -> ImageBuffer:
     # NaN fails every range comparison and +-inf fails one of them
     on_plane = (px >= -2.0) & (px <= 3.0) & (py >= -2.0) & (py <= 2.0)
     gray = np.where(on_plane, tex, 20.0).astype(np.uint8)
-    return from_array(np.stack([gray, gray, gray], axis=-1))
+    rgb = np.stack([gray, gray, gray], axis=-1)
+    return from_array(rgb)
 
 
 def correspondences(rig: StereoRig) -> np.ndarray:

@@ -24,21 +24,22 @@ class ImageBuffer:
     def __post_init__(self):
         if self.channels not in (1, 3):
             raise InvalidArgument("channels must be 1 or 3")
-        arr = np.asarray(self.data)  # uint8 is taken as is; nothing else wraps or truncates
-        if arr.dtype != np.uint8:  # NaN and +-inf fail the range test, with no warning
-            if arr.dtype.kind not in "biuf" or not np.all((arr >= 0) & (arr <= 255)
-                                                         & (np.floor(arr) == arr)):
-                raise InvalidArgument(f"{arr.dtype} image data must hold integers in 0..255")
-            arr = arr.astype(np.uint8)
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(self.data)  # nothing wraps or truncates: NaN and ±inf fail the test
+        if arr.dtype != np.uint8 and (arr.dtype.kind not in "biuf" or not np.all(
+                (arr >= 0) & (arr <= 255) & (np.floor(arr) == arr))):
+            raise InvalidArgument(f"{arr.dtype} image data must hold integers in 0..255")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)  # uint8 is taken as is
         if arr.shape != (self.height, self.width, self.channels):
             raise InvalidArgument("data shape does not match declared dimensions")
         object.__setattr__(self, "data", read_only(arr))
 
 
 def from_array(arr: np.ndarray) -> ImageBuffer:
-    """Wrap a (h, w) or (h, w, c) array, as ``ImageBuffer`` takes its data."""
+    """Wrap a (h, w) or (h, w, c) array, converted as ``ImageBuffer`` converts its data; a
+    C-contiguous uint8 array is taken without a copy and made read-only, whatever its shape."""
     arr = np.asarray(arr)
+    if arr.dtype == np.uint8 and arr.flags.c_contiguous:
+        read_only(arr)  # taken without a copy; freezing only the view below leaves arr writable
     if arr.ndim == 2:
         arr = arr[:, :, None]
     h, w, c = arr.shape
@@ -47,8 +48,7 @@ def from_array(arr: np.ndarray) -> ImageBuffer:
 
 def source_coords(Hinv: np.ndarray, width: int, height: int, first_row: int = 0):
     """Source (x, y) of the pixels in rows ``first_row``..``height - 1`` of a width x height
-    output under ``Hinv``, dehomogenised with no tolerance (non-finite where the scale is 0
-    or a quotient overflows), so a power-of-two scale of ``Hinv`` keeps their bits."""
+    output under ``Hinv``, dehomogenised with no tolerance (non-finite where the scale is 0)."""
     xs, ys = np.meshgrid(np.arange(width, dtype=float),
                          np.arange(first_row, height, dtype=float))
     src = np.tensordot(Hinv, np.stack([xs, ys, np.ones_like(xs)]), axes=1)

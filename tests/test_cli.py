@@ -128,15 +128,17 @@ def test_evaluate_homographies_needs_only_the_image_sizes(tmp_path, capsys):
     assert capsys.readouterr().out == "0.000000\n"
 
 
-def test_evaluate_homographies_ignores_the_scale_of_h(tmp_path, rig_d_path, capsys):
-    """The metric is homogeneous in each third row, so 2^40·H1 prints the same line."""
+@pytest.mark.parametrize("k", [40, 512, -540])
+def test_evaluate_homographies_ignores_the_scale_of_h(tmp_path, rig_d_path, capsys, k):
+    """The metric is homogeneous in each third row, so 2^k·H1 prints the same line, also
+    where the row's N or g² would leave the float range before it is brought to unit scale."""
     out = str(tmp_path / "rect.json")
     assert main(["rectify", rig_d_path, "-o", out]) == 0
     data = json.loads(open(out).read())
     capsys.readouterr()
     assert main(["evaluate", rig_d_path, "--homographies", out]) == 0
     line = capsys.readouterr().out
-    data["H1"] = (2.0 ** 40 * np.array(data["H1"])).tolist()
+    data["H1"] = (2.0 ** k * np.array(data["H1"])).tolist()
     scaled = tmp_path / "scaled.json"
     scaled.write_text(json.dumps(data))
     assert main(["evaluate", rig_d_path, "--homographies", str(scaled)]) == 0

@@ -304,17 +304,43 @@ def test_distortion_of_w_rejects_row_through_the_average_pixel():
 
 
 def test_distortion_of_w_refuses_only_where_g_is_zero_or_a_value_is_not_finite():
-    """One float off the average pixel's plane the metric has a value; a row whose N, or
-    whose N/g², leaves the float range is refused, with no numpy warning."""
+    """One float off the average pixel's plane the metric has a value, and so has a term
+    near the top of the float range; a row whose metric leaves the range, or that holds
+    ±inf or NaN, is refused, with no numpy warning."""
     m = moment_matrices(640, 480)
     near = W_THROUGH_CENTER + [0.0, 0.0, np.nextafter(-319.5, 0.0) + 319.5]
     assert 0.0 < distortion_of_w(near, [0.0, 0.0, 1.0], m, m) < math.inf
     assert distortion_of_w([0.0, 0.0, 1e200], [0.0, 0.0, 2.0 ** -500], m, m) == 0.0
+    # On 2x2, p̄ = (0.5, 0.5, 1) and ppt = diag(1, 1, 0); the unit row of (1, -1, t) is
+    # (1/2, -1/2, t/2), with N = 1/2 and g = t/2 exactly, so N/g² = 2/t²
+    m2 = moment_matrices(2, 2)
+    assert distortion_of_w([1.0, -1.0, 2.0 ** -500], [0.0, 0.0, 1.0], m2, m2) == 2.0 ** 1001
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for w in ([1e200, 0.0, 1.0], [1e160, 1e160, 1e155], [math.nan, 0.0, 1.0]):
+        for t in (2.0 ** -520, 2.0 ** -600):  # 2¹⁰⁴¹ overflows; g² underflows to 0
+            with pytest.raises(DegenerateCenter, match="not finite"):
+                distortion_of_w([1.0, -1.0, t], [0.0, 0.0, 1.0], m2, m2)
+        for w in ([math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [1e308, -math.inf, 0.0]):
             with pytest.raises(DegenerateCenter, match="not finite"):
                 distortion_of_w(w, [0.0, 0.0, 1.0], m, m)
+
+
+@pytest.mark.parametrize("scale", [1.5e154, 1e-160, 2.0 ** 512, 2.0 ** -540, 2.0 ** 1000,
+                                   2.0 ** -1000])
+def test_distortion_of_w_ignores_scales_at_which_n_or_g_squared_leaves_the_float_range(scale):
+    """Each row is brought to unit scale first: 1.5e154·(1e-6, 0, 1) used to overflow g²
+    and drop its term (N/inf = 0), and 2⁻⁵⁴⁰·w to underflow g² and be refused."""
+    m = moment_matrices(640, 480)
+    w, other = np.array([1e-6, 0.0, 1.0]), [0.0, 0.0, 1.0]
+    base = distortion_of_w(w, other, m, m)
+    assert base == pytest.approx(0.0105, rel=0.01)
+    scaled = distortion_of_w(scale * w, other, m, m)
+    if math.frexp(scale)[0] == 0.5:  # a power of two: the same bits
+        assert scaled == base
+    else:
+        assert scaled == pytest.approx(base, rel=1e-15)
+    assert distortion_of_w([2.0 ** 700, 0.0, 1.0], other, m, m) == distortion_of_w(
+        [1.0, 0.0, 0.0], other, m, m)
 
 
 def test_pixel_sum_distortion_rejects_tiny_image_and_row_through_center():

@@ -170,6 +170,16 @@ def test_image_buffer_converts_whole_numbers_and_takes_uint8_without_a_copy():
     assert np.shares_memory(from_array(arr).data, arr)
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (4, 5, 1), (4, 5, 3)])
+def test_from_array_freezes_the_array_it_takes_without_a_copy(shape):
+    """A 2-D array is frozen like a 3-D one, so the caller cannot change the buffer's data."""
+    arr = np.zeros(shape, dtype=np.uint8)
+    img = from_array(arr)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 1
+    assert not img.data.any()
+
+
 def test_pnm_rescales_small_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5 2 1 15\n" + bytes([15, 0]))
