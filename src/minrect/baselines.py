@@ -44,14 +44,67 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     return complete_homographies(rig, Rnew, float("nan"), dist)
 
 
+def _block_bounds(ops: DistortionOperands, lo: float, hi: float, samples: int) -> list[float]:
+    """Per block of ``_BLOCK`` samples of ``np.linspace(lo, hi, samples)``, a float that
+    none of the block's samples reads below in ``_fill_block``, or -inf where in doubt.
+
+    The grid is monotone in k, so the block's samples lie between its end samples, taken
+    with the grid's arithmetic (and hi, its last sample). Per term, N's least float value
+    there is at least the least Horner value at the ends and at N's vertex, less 1e-12 of
+    the largest |n2|y² + |n1||y| + |n0| at the ends (over 10³ times Horner's error bound)
+    and 1e-300 for underflow. The float g = g1·(y - p) is monotone in y, so |g| is
+    largest at an end and is 0 only where g changes sign. So each term is at least N's
+    bound over the largest g² (or, where that bound is negative, the least), and rounding
+    is monotone, so the sum of the term bounds, added in ``_fill_block``'s order, bounds
+    each sample. A NaN or a division by zero reads -inf."""
+    div, delta = samples - 1, hi - lo
+    step = delta / div
+    # Per term: N's coefficients, their magnitudes, N's vertex (or nan), g's form. A term
+    # with a coefficient that is not finite reads +inf or NaN, so +inf, at every sample.
+    forms = []
+    for (n2, n1, n0), g1, p, g0 in ops.terms:
+        vertex = -n1 / (2.0 * n2) if n2 > 0.0 else math.nan
+        forms.append((n2, n1, n0, abs(n2), abs(n1), abs(n0), vertex, g1, p, g0))
+    bounds = []
+    for start in range(0, samples, _BLOCK):
+        last = min(start + _BLOCK, samples) - 1
+        if step:
+            a, b = start * step + lo, last * step + lo
+        else:
+            a, b = start / div * delta + lo, last / div * delta + lo
+        if b < a:
+            a, b = b, a
+        if last == div:
+            a, b = min(a, hi), max(b, hi)
+        ma, mb, total = abs(a), abs(b), 0.0
+        try:
+            for n2, n1, n0, m2, m1, m0, vertex, g1, p, g0 in forms:
+                n = min((n2 * a + n1) * a + n0, (n2 * b + n1) * b + n0)
+                if a < vertex < b:
+                    n = min(n, (n2 * vertex + n1) * vertex + n0)
+                n -= 1e-12 * (max((m2 * ma + m1) * ma, (m2 * mb + m1) * mb) + m0) + 1e-300
+                ga, gb = ((a - p) * g1, (b - p) * g1) if g1 else (g0, g0)
+                if n >= 0.0:
+                    g = max(abs(ga), abs(gb))
+                else:
+                    g = min(abs(ga), abs(gb)) if (ga > 0.0) == (gb > 0.0) else 0.0
+                total += n / (g * g)
+        except ZeroDivisionError:
+            total = -math.inf
+        bounds.append(total if total > -math.inf else -math.inf)  # NaN, too, reads -inf
+    return bounds
+
+
 def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                   samples: int = 200_001) -> tuple[float, float]:
-    """Dense scan of [y_lo, y_hi] plus re-scans; independent oracle.
+    """Least sample of a grid over [y_lo, y_hi], refined by re-scans; independent oracle.
 
     Each grid, written with ``np.linspace``'s arithmetic and evaluated a block at a time
-    in fixed memory, yields its first sample of least value. The interval between that
-    sample's neighbours is re-scanned with 1001 samples until it is within
-    1e-10 * (1 + |lo| + |hi|); the last best sample and its value are returned."""
+    in fixed memory, yields its first sample of least value. A grid of more than one
+    block evaluates its blocks in ascending order of ``_block_bounds`` and stops at the
+    first bound above the least value found, so it returns the dense scan's bits. The
+    interval between that sample's neighbours is re-scanned with 1001 samples until it
+    is within 1e-10 * (1 + |lo| + |hi|); the last best sample and its value are returned."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1001:
         raise InvalidArgument(f"samples must be an integer of at least 1001, got {samples!r}")
     try:
@@ -61,13 +114,18 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     if not math.isfinite(hi - lo):  # also NaN or inf if either bound is
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
+    samples = int(samples)  # so that _block_bounds runs on Python floats, which never warn
     counts = np.arange(min(samples, _BLOCK), dtype=float)
     ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((2, counts.size))
     while True:
         div, delta = samples - 1, hi - lo
         step = delta / div  # np.linspace's: k·step + lo, or k/div·delta + lo if step is 0
+        bounds = _block_bounds(ops, lo, hi, samples) if samples > _BLOCK else [-math.inf]
         i, best = -1, np.inf
-        for start in range(0, samples, counts.size):
+        for block in sorted(range(len(bounds)), key=bounds.__getitem__):
+            if bounds[block] > best:
+                break  # every later bound is at least as high
+            start = block * _BLOCK
             y, v = ys[:samples - start], vals[:samples - start]
             np.add(counts[:y.size], start, out=y)
             if not step:
@@ -77,14 +135,14 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
             y[div - start:] = hi  # np.linspace's last sample, in the last block only
             _fill_block(ops, y, v, buffers)
             j = int(np.argmin(v))
-            if v[j] < best:
+            if v[j] < best or (v[j] == best and start + j < i):  # the first least sample
                 i, best = start + j, v[j]
         if i < 0:
             raise EmptyDomain("every sample is at a pole or overflows")
         # Python floats: |lo| + |hi| may round up to inf, and then without a warning
         lo, hi, y_best = [hi if k == div else (k * step if step else k / div * delta) + lo
                           for k in (max(i - 1, 0), min(i + 1, div), i)]
-        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+        if abs(hi - lo) <= 1e-10 * (1.0 + abs(lo) + abs(hi)):  # a reversed grid runs down
             return np.float64(y_best), best
         samples = 1001
 

@@ -134,7 +134,7 @@ def reference_scan(ops, y_lo, y_hi, samples=200_001):
         i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
         lo = float(ys[max(i - 1, 0)])
         hi = float(ys[min(i + 1, samples - 1)])
-        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+        if abs(hi - lo) <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
             return ys[i], vals[i]
         samples = 1001
 
@@ -432,9 +432,8 @@ def test_scan_grid_matches_a_whole_linspace_scan_at_its_last_sample_and_a_zero_s
             assert got[0] == (0.3 if hi == 0.3 else 3e-322)
 
 
-def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
-    """Each grid, joined from its blocks, is np.linspace's bit for bit: the dense one,
-    and each 1001-sample re-scan between its own first and last samples."""
+def recorded_blocks(monkeypatch):
+    """A list that receives a copy of each grid block scan_minimize passes to _fill_block."""
     fill, blocks = baselines._fill_block, []
 
     def recording_fill(ops, y, total, buffers):
@@ -442,17 +441,109 @@ def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
         fill(ops, y, total, buffers)
 
     monkeypatch.setattr(baselines, "_fill_block", recording_fill)
+    return blocks
+
+
+def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
+    """Each block of the dense grid that the scan evaluates is np.linspace's grid at that
+    block's offset, bit for bit, and each 1001-sample re-scan grid is np.linspace's
+    between its own first and last samples."""
+    blocks = recorded_blocks(monkeypatch)
     ops = operand_matrices(rig_d)
     block = distortion._BLOCK
-    for lo, hi in ((-1.0, 0.3), (-4800.0, 4800.0), (0.0, 2e-321)):
+    for lo, hi in ((-1.0, 0.3), (-4800.0, 4800.0), (0.0, 2e-321), (4800.0, -4800.0)):
         for samples in (1001, block + 1, 2 * block + 1, 200_001):
             blocks.clear()
             scan_minimize(ops, lo, hi, samples)
-            dense = -(-samples // block)
-            grid = np.concatenate(blocks[:dense])
-            assert grid.tobytes() == np.linspace(lo, hi, samples).tobytes()
-            for grid in blocks[dense:]:
-                assert grid.tobytes() == np.linspace(grid[0], grid[-1], 1001).tobytes()
+            # no dense block of these counts has 1001 samples, and the dense grid comes first
+            dense = sum(y.size != 1001 for y in blocks) if samples > block else 1
+            assert dense >= 1 and all(y.size == 1001 for y in blocks[dense:])
+            grid = np.linspace(lo, hi, samples)
+            for y in blocks[:dense]:
+                assert any(y.tobytes() == grid[start:start + block].tobytes()
+                           for start in range(0, samples, block)), (lo, hi, samples)
+            for y in blocks[dense:]:
+                assert y.tobytes() == np.linspace(y[0], y[-1], 1001).tobytes()
+
+
+def test_scan_of_rig_d_evaluates_at_most_two_of_its_dense_blocks(rig_d, monkeypatch):
+    """Over ±4 800 the 200 001-sample grid has 13 blocks; every block but those next to
+    the minimum has a lower bound above the value found, so it is skipped."""
+    blocks = recorded_blocks(monkeypatch)
+    assert_scan_same_as_reference(operand_matrices(rig_d), -4800.0, 4800.0)
+    assert -(-200_001 // distortion._BLOCK) == 13
+    assert 1 <= sum(y.size != 1001 for y in blocks) <= 2
+
+
+def test_reversed_scan_of_rig_d_is_refined_as_the_forward_one(rig_d):
+    """A grid with y_lo > y_hi runs downward; its re-scans stop on |hi - lo|, as the
+    forward ones do, and not on the first grid's negative span."""
+    ops = operand_matrices(rig_d)
+    _, forward = scan_minimize(ops, -4800.0, 4800.0)
+    y, backward = assert_scan_same_as_reference(ops, 4800.0, -4800.0)
+    assert abs(backward - forward) <= 1e-12 * forward
+    assert y == pytest.approx(assemble(rig_d).y1_star, abs=1e-5)
+
+
+def assert_block_bounds_hold(ops, lo, hi, samples):
+    """Each block's bound lies at or below the least value reference_many reads on the
+    block's samples of np.linspace(lo, hi, samples); returns the bounds."""
+    block = distortion._BLOCK
+    bounds = baselines._block_bounds(ops, lo, hi, samples)
+    vals = reference_many(ops, np.linspace(lo, hi, samples))
+    least = [vals[start:start + block].min() for start in range(0, samples, block)]
+    assert len(bounds) == len(least)
+    for k, (bound, low) in enumerate(zip(bounds, least)):
+        assert bound <= low, (lo, hi, samples, k, bound, low)
+    return bounds
+
+
+def test_block_bounds_hold_on_seeded_rigs_and_fault_rigs():
+    rng = np.random.default_rng(41)
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(300)] + fault_rigs()
+    finite = 0
+    for k, rig in enumerate(rigs):
+        h = rig.cam1.height
+        ops = operand_matrices(rig)
+        span = (-10.0 * h, 10.0 * h) if k % 3 else (10.0 * h, -10.0 * h)
+        bounds = assert_block_bounds_hold(ops, *span, 200_001)
+        finite += sum(math.isfinite(b) for b in bounds)
+    assert finite >= 0.9 * 13 * len(rigs)  # a bound of -inf everywhere would pass above
+
+
+def test_block_bounds_hold_on_edge_cases(rig_d):
+    """Negative numerators, a constant g, poles on block boundaries, overflowing and
+    zero-step spans, reversed spans and N's vertex inside a block of a reversed grid."""
+    block = distortion._BLOCK
+    lo = -float(block)  # with 3·block + 1 samples, sample k is k + lo exactly
+    edge = (lo, lo + 3.0 * block, 3 * block + 1)
+    cases = [
+        # negative numerators, one with a pole, one where g1 == 0
+        (rational_ops((-1.0, 0.0, 0.0), (1.0, 5.0), (0.0, -3.0, 1.0), (0.5, 1.0)),
+         -1e4, 1e4, 200_001),
+        (rational_ops((1.0, 2.0, 3.0), (0.0, 2.0), (1.0, 0.0, -1.0), (0.0, -0.5)),
+         -3.0, 3.0, 200_001),
+        # poles on the first sample of block 1 and on the last one of block 1
+        (rational_ops((1.0, 0.0, 1.0), (1.0, 0.0), (0.0, 1.0, 1e4), (1.0, 1.0 - block)),
+         *edge),
+        (operand_matrices(rig_d), 0.0, 1e300, 200_001),
+        (operand_matrices(rig_d), 1e300, 0.0, 200_001),
+        (operand_matrices(rig_d), 0.0, 2e-321, 200_001),
+        (rational_ops((0.0, 1e308, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0), (5e307, 1.0)),
+         0.0, 2e-321, 200_001),
+        # np.linspace's last sample 0.3, where k·step + lo reads 0.3 + 5.6e-17
+        (rational_ops((0.0, -1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0)),
+         -1.0, 0.3, 2 * block + 1),
+        (operand_matrices(rig_d), 4800.0, -4800.0, 200_001),
+    ]
+    for ops, y_lo, y_hi, samples in cases:
+        assert_block_bounds_hold(ops, y_lo, y_hi, samples)
+    # N = (y - v)² + 1 with v inside block 1 of the grid 3·block, 3·block - 1, ..., 0: its
+    # least sample reads 1.0625, and its end samples about 0.25·block²
+    v = 1.5 * block + 0.25
+    ops = rational_ops((1.0, -2.0 * v, v * v + 1.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))
+    bounds = assert_block_bounds_hold(ops, 3.0 * block, 0.0, 3 * block + 1)
+    assert 0.99 < bounds[1] <= 1.0625 < bounds[0]
 
 
 def test_scan_memory_does_not_grow_with_the_sample_count(rig_d):
