@@ -17,6 +17,9 @@ PLANE_Z = 5.0
 MARKER_RADIUS = 0.09
 MARKER_STEP = 0.8
 CHECKER_SIZE = 0.5
+# marker centres along x and along y; the markers are their product
+_MARKER_XS = np.arange(-1.2, 2.4, MARKER_STEP)
+_MARKER_YS = np.arange(-1.2, 1.6, MARKER_STEP)
 
 
 def synth_rig(seed: int) -> StereoRig:
@@ -35,19 +38,27 @@ def synth_rig(seed: int) -> StereoRig:
 
 
 def _marker_centers() -> np.ndarray:
-    xs = np.arange(-1.2, 2.4, MARKER_STEP)
-    ys = np.arange(-1.2, 1.6, MARKER_STEP)
-    return np.array([(x, y) for y in ys for x in xs])
+    return np.array([(x, y) for y in _MARKER_YS for x in _MARKER_XS])
+
+
+def _from_nearest(p: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """p minus the nearest value of the evenly spaced grid; NaN and +-inf need no cast."""
+    k = np.rint((p - grid[0]) / MARKER_STEP)
+    k = np.fmin(np.fmax(k, 0.0, out=k), len(grid) - 1.0, out=k)
+    return p - grid[k.astype(np.intp)]
 
 
 def _texture(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Procedural plane texture sampled at plane coordinates."""
-    checker = (np.floor(px / CHECKER_SIZE) + np.floor(py / CHECKER_SIZE)) % 2
-    value = 60.0 + 50.0 * checker + 20.0 * (px - px.min()) / max(np.ptp(px), 1e-9)
-    for cx, cy in _marker_centers():
-        inside = (px - cx) ** 2 + (py - cy) ** 2 <= MARKER_RADIUS ** 2
-        value = np.where(inside, 255.0, value)
-    return value
+    # MARKER_RADIUS < MARKER_STEP / 2: a point can only be inside the disk centred nearest
+    # to it on both axes, and that test is the one a loop over every disk would make
+    inside = (_from_nearest(px, _MARKER_XS) ** 2 + _from_nearest(py, _MARKER_YS) ** 2
+              <= MARKER_RADIUS ** 2)
+    checker = np.floor(px / CHECKER_SIZE) + np.floor(py / CHECKER_SIZE)
+    checker -= 2.0 * np.floor(checker / 2.0)  # the sum % 2, exact on whole numbers
+    lo, hi = px.min(), px.max()
+    value = 60.0 + 50.0 * checker + 20.0 * (px - lo) / max(hi - lo, 1e-9)
+    return np.where(inside, 255.0, value)
 
 
 def _plane_homography(cam: Camera) -> np.ndarray:

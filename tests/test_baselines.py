@@ -380,7 +380,7 @@ def linspace_scan(ops, y_lo, y_hi, samples=200_001):
         if i < 0:
             raise EmptyDomain("every sample is at a pole or overflows")
         lo, hi = float(ys[max(i - 1, 0)]), float(ys[min(i + 1, samples - 1)])
-        if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+        if abs(hi - lo) <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
             return ys[i], best
         samples = 1001
 
@@ -401,9 +401,10 @@ def fault_rigs():
 def test_scan_grid_matches_a_whole_linspace_scan():
     block = distortion._BLOCK
     counts = (1001, block - 1, block, block + 1, 2 * block + 1, 200_001)
-    # the last span is so narrow that np.linspace's step underflows to 0
+    # (0, 2e-321) is so narrow that np.linspace's step underflows to 0, and the last span
+    # is reversed
     spans = ((-9600.0, -1.0), (-4800.0, 4800.0), (1e6 - 5e-7, 1e6 + 5e-7), (240.0, 240.0),
-             (0.0, 2e-321))
+             (0.0, 2e-321), (4800.0, -4800.0))
     rng = np.random.default_rng(29)
     rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(50)] + fault_rigs()
     for rig in rigs:
