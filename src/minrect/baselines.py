@@ -45,26 +45,18 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
 
 
 def _block_bounds(ops: DistortionOperands, lo: float, hi: float, samples: int) -> list[float]:
-    """Per block of ``_BLOCK`` samples of ``np.linspace(lo, hi, samples)``, a float that
-    none of the block's samples reads below in ``_fill_block``, or -inf where in doubt.
+    """Per block of ``_BLOCK`` samples of ``np.linspace(lo, hi, samples)``, a float >= 0
+    that none of the block's samples reads below in ``_fill_block``.
 
-    The grid is monotone in k, so the block's samples lie between its end samples, taken
-    with the grid's arithmetic (and hi, its last sample). Per term, N's least float value
-    there is at least the least Horner value at the ends and at N's vertex, less 1e-12 of
-    the largest |n2|y² + |n1||y| + |n0| at the ends (over 10³ times Horner's error bound)
-    and 1e-300 for underflow. The float g = g1·(y - p) is monotone in y, so |g| is
-    largest at an end and is 0 only where g changes sign. So each term is at least N's
-    bound over the largest g² (or, where that bound is negative, the least), and rounding
-    is monotone, so the sum of the term bounds, added in ``_fill_block``'s order, bounds
-    each sample. A NaN or a division by zero reads -inf."""
+    The block's samples lie between its end samples, taken with the grid's arithmetic.
+    Where a form ℓ keeps its sign there, r = ℓ/g is a Möbius function with no zero, so |r|
+    is least at an end sample (it grows toward a pole inside the block). Less 1e-12·|r|·
+    (1 + (|c1|·max|y| + |c0|)/min|ℓ|), over 10³ times the rounding of ℓ, g and r, that
+    bounds every sample's float |r|, and rounding is monotone. An ℓ that may change sign or
+    is below 1e-150 (so that (ℓ/g)² overflows wherever g underflows), or a g at an end
+    below 1e-300 or not finite, bounds its term by 0."""
     div, delta = samples - 1, hi - lo
     step = delta / div
-    # Per term: N's coefficients, their magnitudes, N's vertex (or nan), g's form. A term
-    # with a coefficient that is not finite reads +inf or NaN, so +inf, at every sample.
-    forms = []
-    for (n2, n1, n0), g1, p, g0 in ops.terms:
-        vertex = -n1 / (2.0 * n2) if n2 > 0.0 else math.nan
-        forms.append((n2, n1, n0, abs(n2), abs(n1), abs(n0), vertex, g1, p, g0))
     bounds = []
     for start in range(0, samples, _BLOCK):
         last = min(start + _BLOCK, samples) - 1
@@ -76,22 +68,19 @@ def _block_bounds(ops: DistortionOperands, lo: float, hi: float, samples: int) -
             a, b = b, a
         if last == div:
             a, b = min(a, hi), max(b, hi)
-        ma, mb, total = abs(a), abs(b), 0.0
-        try:
-            for n2, n1, n0, m2, m1, m0, vertex, g1, p, g0 in forms:
-                n = min((n2 * a + n1) * a + n0, (n2 * b + n1) * b + n0)
-                if a < vertex < b:
-                    n = min(n, (n2 * vertex + n1) * vertex + n0)
-                n -= 1e-12 * (max((m2 * ma + m1) * ma, (m2 * mb + m1) * mb) + m0) + 1e-300
-                ga, gb = ((a - p) * g1, (b - p) * g1) if g1 else (g0, g0)
-                if n >= 0.0:
-                    g = max(abs(ga), abs(gb))
-                else:
-                    g = min(abs(ga), abs(gb)) if (ga > 0.0) == (gb > 0.0) else 0.0
-                total += n / (g * g)
-        except ZeroDivisionError:
-            total = -math.inf
-        bounds.append(total if total > -math.inf else -math.inf)  # NaN, too, reads -inf
+        big, total = max(abs(a), abs(b)), 0.0
+        for axes, g1, p, g0 in ops.terms:
+            ga, gb = ((a - p) * g1, (b - p) * g1) if g1 else (g0, g0)
+            term = 0.0
+            for s, c1, c0 in axes if 1e-300 < min(abs(ga), abs(gb)) < math.inf else ():
+                la, lb = c1 * a + c0, c1 * b + c0
+                low = min(abs(la), abs(lb)) if (la > 0.0) == (lb > 0.0) else 0.0
+                if low > 1e-150:  # False where low is NaN
+                    r = min(abs(la / ga), abs(lb / gb))
+                    r -= 1e-12 * r * (1.0 + (abs(c1) * big + abs(c0)) / low)
+                    term += s * (r * r) if r > 0.0 else 0.0
+            total += term
+        bounds.append(total)
     return bounds
 
 
@@ -116,7 +105,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                               f"got {y_lo!r}, {y_hi!r}")
     samples = int(samples)  # so that _block_bounds runs on Python floats, which never warn
     counts = np.arange(min(samples, _BLOCK), dtype=float)
-    ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((2, counts.size))
+    ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((3, counts.size))
     while True:
         div, delta = samples - 1, hi - lo
         step = delta / div  # np.linspace's: k·step + lo, or k/div·delta + lo if step is 0

@@ -2,11 +2,11 @@
 
 The metric scores a pair of perspective rows (w vectors) by how far the
 transformations stray from affinity over the pixel grid, as a sum of two
-Rayleigh quotients.  With the horizon parametrised by its y-intercept on
-image 1, both w vectors become affine functions of that single scalar, and
-each quotient becomes N_i(y) / g_i(y)^2: N_i a quadratic from M_i, and
-g_i = p_bar^T L_i (0, y, 1) linear, with p_bar the average pixel.  The metric
-has its poles where a g_i vanishes.
+Rayleigh quotients.  ppt is diag(s_x, s_y, 0), so each quotient is
+s_x·(ℓ_x/g)² + s_y·(ℓ_y/g)², with ℓ_x and ℓ_y the first two entries of w and
+g = p_bar^T w, p_bar the average pixel.  With the horizon parametrised by its
+y-intercept on image 1, w_i = L_i (0, y, 1), so ℓ_x, ℓ_y and g are linear in
+that single scalar, and the metric has its poles where a g vanishes.
 """
 from __future__ import annotations
 
@@ -47,15 +47,17 @@ def poles(ops: DistortionOperands) -> tuple[float, float]:
 
 
 def _linear_terms(ops: DistortionOperands) -> tuple:
-    """Per term, as Python floats: the coefficients (y², y, 1) of the numerator N from M_i,
-    then g1, p and g0 of the denominator's linear form g, with (g1, g0) = p_bar^T L_i
-    (columns 1 and 2) and p = -g0/g1, so that g = g1·(y - p), or g = g0 where g1 == 0.
-    Near a pole y - p is exact, so g is rounded once and is exactly 0 at p itself."""
+    """Per term, as Python floats: the pairs (s_x, ℓ_x) and (s_y, ℓ_y), each weight s a
+    diagonal entry of ppt and each ℓ given by its coefficients (y, 1), columns 1 and 2 of a
+    row of L_i; then g1, p and g0 of the denominator's linear form g, with (g1, g0) =
+    p_bar^T L_i (columns 1 and 2) and p = -g0/g1, so that g = g1·(y - p), or g = g0 where
+    g1 == 0. Near a pole y - p is exact, so g is rounded once and is exactly 0 at p itself."""
     out = []
-    for L, M, mom in ((ops.L1, ops.M1, ops.moments1), (ops.L2, ops.M2, ops.moments2)):
-        M = M.tolist()
+    for L, mom in ((ops.L1, ops.moments1), (ops.L2, ops.moments2)):
+        (_, x1, x0), (_, y1, y0), _ = L.tolist()
         _, g1, g0 = (mom.pcpct[2] @ L).tolist()
-        out.append(((M[1][1], 2.0 * M[1][2], M[2][2]), g1, -g0 / g1 if g1 else math.inf, g0))
+        axes = ((float(mom.ppt[0, 0]), x1, x0), (float(mom.ppt[1, 1]), y1, y0))
+        out.append((axes, g1, -g0 / g1 if g1 else math.inf, g0))
     return tuple(out)
 
 
@@ -115,19 +117,21 @@ def w_from_y(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.ndarray
 
 
 def distortion_of_w(w1, w2, m1: MomentMatrices, m2: MomentMatrices) -> float:
-    """Two-term Rayleigh-quotient metric of two perspective rows: each term is N/g² with
-    N = wᵀ·ppt·w and g = p̄ᵀw (p̄ the average pixel) on w times a power of two, so any finite
-    nonzero scale of w gives the same bits; ``DegenerateCenter`` only where it is not finite."""
+    """Two-term Rayleigh-quotient metric of two perspective rows: each term is
+    s_x·(ℓ_x/g)² + s_y·(ℓ_y/g)² with (ℓ_x, ℓ_y) = (w[0], w[1]) and g = p̄ᵀw (p̄ the average
+    pixel) on w times a power of two, so any finite nonzero scale of w gives the same bits;
+    ``DegenerateCenter`` only where it is not finite."""
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # ±inf or NaN in w is refused below
         for w, mom in ((w1, m1), (w2, m2)):
             w = np.asarray(w, dtype=float)
             w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])  # largest magnitude in [0.5, 1)
-            num, g = float(w @ mom.ppt @ w), float(mom.pcpct[2] @ w)
-            if g * g == 0.0:  # tested first: Python's float division by 0 raises
+            g = float(mom.pcpct[2] @ w)
+            if not 0.0 < abs(g) < math.inf:  # tested first: Python's float division by 0 raises
                 raise DegenerateCenter("w is (nearly) orthogonal to the average pixel: not finite")
-            total += num / (g * g)
-    if not math.isfinite(total):  # g² < inf, so each N/g² is >= 0, +inf or NaN: all seen here
+            rx, ry = float(w[0]) / g, float(w[1]) / g
+            total += float(mom.ppt[0, 0]) * (rx * rx) + float(mom.ppt[1, 1]) * (ry * ry)
+    if not math.isfinite(total):  # each term is >= 0, +inf or NaN: all seen here
         raise DegenerateCenter("the distortion metric of these rows is not finite")
     return total
 
@@ -151,23 +155,24 @@ def pixel_sum_distortion(w, width: int, height: int) -> float:
 
 
 def distortion_of_y(ops: DistortionOperands, y1: float) -> float:
-    """The metric as a function of the horizon intercept on image 1, defined
-    exactly where ``distortion_of_y_many`` reads it finite: ``InvalidArgument``
-    where y1 is not finite or a term's N or g² overflows (|y1| above about 1e154
-    on typical rigs), ``PoleAtY`` where a g² is 0 or the metric exceeds the float range."""
+    """The metric as a function of the horizon intercept on image 1, defined exactly where
+    ``distortion_of_y_many`` reads it finite: ``InvalidArgument`` where y1 is not finite or
+    a term's ℓ or g overflows, ``PoleAtY`` where a g is 0 or the metric exceeds the float
+    range. Each term is s_x·r_x·r_x + s_y·r_y·r_y with r = ℓ/g, and the total is
+    0 + term₁ + term₂."""
     if not math.isfinite(y1):
         raise InvalidArgument(f"y1 must be finite, got {y1!r}")
     y, total = float(y1), 0.0
-    for (n2, n1, n0), g1, p, g0 in ops.terms:
-        num = (n2 * y + n1) * y + n0
+    for ((sx, ax, bx), (sy, ay, by)), g1, p, g0 in ops.terms:
         g = g1 * (y - p) if g1 else g0
-        den = g * g
+        lx, ly = ax * y + bx, ay * y + by
         # finite coefficients and y give inf only through an overflow
-        if not (math.isfinite(num) and den < math.inf):
+        if not max(abs(g), abs(lx), abs(ly)) < math.inf:
             raise InvalidArgument(f"y1={y1!r} overflows the distortion function")
-        if den == 0.0:
+        if g == 0.0:
             raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
-        total += num / den
+        rx, ry = lx / g, ly / g
+        total += sx * (rx * rx) + sy * (ry * ry)
     if not math.isfinite(total):  # next to a pole, beyond the float range
         raise PoleAtY(f"y1={y1!r} is at a pole of the distortion function")
     return total
@@ -179,35 +184,36 @@ _BLOCK = 16_384  # samples per block of distortion_of_y_many; its buffers stay i
 def _fill_block(ops: DistortionOperands, y: np.ndarray, total: np.ndarray,
                 buffers: np.ndarray) -> None:
     """Write the metric at the 1-D samples ``y`` into ``total`` with ``distortion_of_y``'s
-    arithmetic, in place in ``buffers`` (a (2, n) float array, n >= y.size), +inf where it
-    refuses. Each refusal but one makes the sum non-finite, as N/0 is ±inf or NaN; the one,
-    a g² overflow under a finite N, makes its term 0. So a block takes a mask only where a
-    g² or the sum is not finite."""
-    nu, de = buffers[:, :y.size]
-    total.fill(0.0)
+    arithmetic, in place in ``buffers`` (a (3, n) float array, n >= y.size), +inf where it
+    refuses. Each refusal but one makes the sum non-finite, as ℓ/0 and inf/g are ±inf or
+    NaN; the one, a g overflow under a finite ℓ, makes its term 0. So a block takes a mask
+    only where a g or the sum is not finite."""
+    g, term, r = buffers[:, :y.size]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (n2, n1, n0), g1, p, g0 in ops.terms:
-            np.multiply(y, n2, out=nu)
-            nu += n1
-            nu *= y
-            nu += n0
+        # term 1 goes to total, as 0 + x = x for every x >= +0, +inf or NaN
+        for acc, (axes, g1, p, g0) in zip((total, term), ops.terms):
             if g1:
-                np.subtract(y, p, out=de)
-                de *= g1
-                de *= de
+                np.subtract(y, p, out=g)
+                g *= g1
             else:
-                de.fill(g0 * g0)
-            nu /= de
-            if not de.max() < math.inf:
-                np.copyto(nu, math.inf, where=de == math.inf)
-            total += nu
-        if not (total.max() < math.inf and total.min() > -math.inf):
+                g.fill(g0)
+            for out, (s, c1, c0) in zip((acc, r), axes):
+                np.multiply(y, c1, out=out)
+                out += c0
+                out /= g
+                out *= out
+                out *= s
+            acc += r
+            if not (g.max() < math.inf and g.min() > -math.inf):
+                np.copyto(acc, math.inf, where=np.isinf(g))
+        total += term
+        if not total.max() < math.inf:  # each term is >= 0, +inf or NaN
             np.copyto(total, math.inf, where=~np.isfinite(total))
 
 
 def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     """Vectorised evaluation, +inf where ``distortion_of_y`` refuses: at a pole, where a
-    term's N or g² overflows, or where the metric exceeds the float range.
+    term's ℓ or g overflows, or where the metric exceeds the float range.
 
     Runs over blocks of ``_BLOCK`` samples through one set of buffers, so that
     beyond its output it needs a fixed amount of memory, whatever the size of ``ys``.
@@ -215,7 +221,7 @@ def distortion_of_y_many(ops: DistortionOperands, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     out = np.empty(ys.shape)
     flat_ys, flat_out = ys.reshape(-1), out.reshape(-1)
-    buffers = np.empty((2, min(flat_ys.size, _BLOCK)))
+    buffers = np.empty((3, min(flat_ys.size, _BLOCK)))
     for start in range(0, flat_ys.size, _BLOCK):
         _fill_block(ops, flat_ys[start:start + _BLOCK], flat_out[start:start + _BLOCK], buffers)
     return out

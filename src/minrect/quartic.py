@@ -226,7 +226,7 @@ def select_minimum(ops: DistortionOperands, problem: QuarticProblem,
 
     Ties break toward smaller |y1|; ``problem`` is not read.  A root at which
     ``distortion_of_y`` refuses (at a pole, where the function leaves the float range,
-    or where a term's N or g² overflows) is skipped, as the scan skips its +inf samples.
+    or where a term's ℓ or g overflows) is skipped, as the scan skips its +inf samples.
     """
     best = None
     for r in roots.roots:

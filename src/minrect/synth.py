@@ -57,6 +57,9 @@ def _texture(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     checker = np.floor(px / CHECKER_SIZE) + np.floor(py / CHECKER_SIZE)
     checker -= 2.0 * np.floor(checker / 2.0)  # the sum % 2, exact on whole numbers
     lo, hi = px.min(), px.max()
+    if not np.isfinite(hi - lo):  # the plane's horizon runs through a pixel centre
+        finite = px[np.isfinite(px)]
+        lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
     value = 60.0 + 50.0 * checker + 20.0 * (px - lo) / max(hi - lo, 1e-9)
     return np.where(inside, 255.0, value)
 

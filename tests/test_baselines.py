@@ -23,7 +23,7 @@ from minrect.geometry import StereoRig, fundamental_matrix, normalize_matrix, op
 from minrect.rectify import assemble, orientation
 from minrect import serialize
 
-from test_distortion import rational_ops, reference_many
+from test_distortion import ONE, Y, ZERO, rational_ops, reference_many
 from test_rectify import rectified_residual
 
 
@@ -165,11 +165,11 @@ def test_scan_matches_reference_on_rigs_next_to_poles():
 
 
 def test_scan_first_of_equal_minima_wins_across_a_block_boundary():
-    """y²/2¹⁶⁰ + A/y² is exactly even in y on the grid of half-integers, and its two
+    """(y/2⁸⁰)² + (a/y)² is exactly even in y on the grid of half-integers, and its two
     equal sample minima lie in different blocks: the first one is kept."""
     block = distortion._BLOCK
-    A = 1e8 * 2.0 ** -160  # minima at y = ±100
-    ops = rational_ops((1.0, 0.0, 0.0), (0.0, 2.0 ** 80), (0.0, 0.0, A), (1.0, 0.0))
+    a = 1e4 * 2.0 ** -80  # minima at y = ±100
+    ops = rational_ops((Y, ZERO, (0.0, 2.0 ** 80)), ((0.0, a), ZERO, Y))
     samples, lo = 2 * block + 1, 0.5 - block  # step 1: sample k is k + lo
     ys = np.linspace(lo, lo + samples - 1.0, samples)
     vals = reference_many(ops, ys)
@@ -183,8 +183,7 @@ def test_scan_raises_empty_domain_where_every_sample_is_at_a_pole(rig_d):
     """A span of one pole of rig_d, and any span of a term whose g is 0 everywhere."""
     ops = operand_matrices(rig_d)
     cases = [(ops, p, p) for p in poles(ops)]
-    cases.append((rational_ops((1.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0)),
-                  -4800.0, 4800.0))
+    cases.append((rational_ops((Y, ZERO, ZERO), (ONE, ZERO, ONE)), -4800.0, 4800.0))
     for ops, lo, hi in cases:
         for fn in (scan_minimize, reference_scan):
             with pytest.raises(EmptyDomain):
@@ -192,7 +191,7 @@ def test_scan_raises_empty_domain_where_every_sample_is_at_a_pole(rig_d):
 
 
 def test_scan_over_overflowing_samples_finds_the_minimum_without_a_warning(rig_d):
-    """Above about 1e154 the quadratic forms overflow; those samples read +inf."""
+    """Up to 1e300 no ℓ or g of rig_d overflows; the metric tends to about 2.36e10."""
     ops = operand_matrices(rig_d)
     direct = assemble(rig_d)
     with warnings.catch_warnings():
@@ -209,7 +208,7 @@ def test_scan_takes_integer_bounds_as_floats(rig_d):
 
 def test_scan_stops_without_a_warning_where_its_tolerance_overflows():
     """A flat metric over (1e308, 1.7e308): |lo| + |hi| is beyond the float range."""
-    ops = rational_ops((0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0))
+    ops = rational_ops((ONE, ZERO, ONE), (ONE, ZERO, ONE))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert scan_minimize(ops, 1e308, 1.7e308, 1001) == (1e308, 2.0)
@@ -418,19 +417,18 @@ def test_scan_grid_matches_a_whole_linspace_scan():
 
 
 def test_scan_grid_matches_a_whole_linspace_scan_at_its_last_sample_and_a_zero_step():
-    """-y over [-1, 0.3], least at the last sample, which np.linspace sets to 0.3 where
-    k·step + lo reads 0.3 + 5.6e-17; and 1e308·y + 1/(5e307·y + 1)² over [0, 2e-321],
-    where the step underflows to 0 and rounding puts the least sample inside the grid."""
+    """(y - 1)² over [-1, 0.3], least at the last sample, which np.linspace sets to 0.3
+    where k·step + lo reads 0.3 + 5.6e-17; and (1e300·y - 1e-21)² over [0, 2e-321],
+    where the step underflows to 0 and the least sample, 202·2⁻¹⁰⁷⁴, is inside the grid."""
     block = distortion._BLOCK
-    cases = [(rational_ops((0.0, -1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0)), -1.0, 0.3),
-             (rational_ops((0.0, 1e308, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0), (5e307, 1.0)),
-              0.0, 2e-321)]
+    cases = [(rational_ops(((1.0, -1.0), ZERO, ONE), (ZERO, ZERO, ONE)), -1.0, 0.3),
+             (rational_ops(((1e300, -1e-21), ZERO, ONE), (ZERO, ZERO, ONE)), 0.0, 2e-321)]
     for ops, lo, hi in cases:
         for samples in (1001, block - 1, block, block + 1, 2 * block + 1, 200_001):
             got = scan_minimize(ops, lo, hi, samples)
             ref = linspace_scan(ops, lo, hi, samples)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
-            assert got[0] == (0.3 if hi == 0.3 else 3e-322)
+            assert got[0] == (0.3 if hi == 0.3 else 202 * 2.0 ** -1074)
 
 
 def recorded_blocks(monkeypatch):
@@ -502,49 +500,54 @@ def assert_block_bounds_hold(ops, lo, hi, samples):
 def test_block_bounds_hold_on_seeded_rigs_and_fault_rigs():
     rng = np.random.default_rng(41)
     rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(300)] + fault_rigs()
-    finite = 0
+    positive = 0
     for k, rig in enumerate(rigs):
         h = rig.cam1.height
         ops = operand_matrices(rig)
         span = (-10.0 * h, 10.0 * h) if k % 3 else (10.0 * h, -10.0 * h)
         bounds = assert_block_bounds_hold(ops, *span, 200_001)
-        finite += sum(math.isfinite(b) for b in bounds)
-    assert finite >= 0.9 * 13 * len(rigs)  # a bound of -inf everywhere would pass above
+        positive += sum(b > 0.0 for b in bounds)
+    assert positive >= 0.9 * 13 * len(rigs)  # a bound of 0 everywhere would pass above
 
 
 def test_block_bounds_hold_on_edge_cases(rig_d):
-    """Negative numerators, a constant g, poles on block boundaries, overflowing and
-    zero-step spans, reversed spans and N's vertex inside a block of a reversed grid."""
+    """ℓ that change sign, a constant g, poles on block boundaries and inside a block,
+    overflowing and zero-step spans, reversed spans and an ℓ's zero inside a block of a
+    reversed grid."""
     block = distortion._BLOCK
     lo = -float(block)  # with 3·block + 1 samples, sample k is k + lo exactly
     edge = (lo, lo + 3.0 * block, 3 * block + 1)
     cases = [
-        # negative numerators, one with a pole, one where g1 == 0
-        (rational_ops((-1.0, 0.0, 0.0), (1.0, 5.0), (0.0, -3.0, 1.0), (0.5, 1.0)),
+        # ℓ that change sign in the grid, with poles, or where g1 == 0
+        (rational_ops((Y, ZERO, (1.0, 5.0)), (((-3.0, 1.0), ZERO, (0.5, 1.0)))),
          -1e4, 1e4, 200_001),
-        (rational_ops((1.0, 2.0, 3.0), (0.0, 2.0), (1.0, 0.0, -1.0), (0.0, -0.5)),
+        (rational_ops(((1.0, 1.0), (0.0, 1.5), (0.0, 2.0)), (Y, ONE, (0.0, -0.5))),
          -3.0, 3.0, 200_001),
         # poles on the first sample of block 1 and on the last one of block 1
-        (rational_ops((1.0, 0.0, 1.0), (1.0, 0.0), (0.0, 1.0, 1e4), (1.0, 1.0 - block)),
-         *edge),
+        (rational_ops((Y, ONE, Y), ((0.0, 100.0), Y, (1.0, 1.0 - block))), *edge),
         (operand_matrices(rig_d), 0.0, 1e300, 200_001),
         (operand_matrices(rig_d), 1e300, 0.0, 200_001),
         (operand_matrices(rig_d), 0.0, 2e-321, 200_001),
-        (rational_ops((0.0, 1e308, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0), (5e307, 1.0)),
+        (rational_ops(((1e300, -1e-21), ZERO, ONE), (ONE, ZERO, (5e307, 1.0))),
          0.0, 2e-321, 200_001),
         # np.linspace's last sample 0.3, where k·step + lo reads 0.3 + 5.6e-17
-        (rational_ops((0.0, -1.0, 0.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0)),
-         -1.0, 0.3, 2 * block + 1),
+        (rational_ops(((1.0, -1.0), ZERO, ONE), (ZERO, ZERO, ONE)), -1.0, 0.3, 2 * block + 1),
         (operand_matrices(rig_d), 4800.0, -4800.0, 200_001),
     ]
     for ops, y_lo, y_hi, samples in cases:
         assert_block_bounds_hold(ops, y_lo, y_hi, samples)
-    # N = (y - v)² + 1 with v inside block 1 of the grid 3·block, 3·block - 1, ..., 0: its
+    # (y - v)² + 1 with v inside block 1 of the grid 3·block, 3·block - 1, ..., 0: its
     # least sample reads 1.0625, and its end samples about 0.25·block²
     v = 1.5 * block + 0.25
-    ops = rational_ops((1.0, -2.0 * v, v * v + 1.0), (0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))
+    ops = rational_ops(((1.0, -v), ONE, ONE), (ZERO, ZERO, ONE))
     bounds = assert_block_bounds_hold(ops, 3.0 * block, 0.0, 3 * block + 1)
     assert 0.99 < bounds[1] <= 1.0625 < bounds[0]
+    # 1/(y - p)² with p inside block 1: |1/(y - p)| grows toward p from both ends, so
+    # block 1 is bounded by about 1/(block/2)², not by 0
+    p = 1.5 * block + 0.25
+    ops = rational_ops((ONE, ZERO, (1.0, -p)), (ZERO, ZERO, ONE))
+    bounds = assert_block_bounds_hold(ops, 0.0, 3.0 * block, 3 * block + 1)
+    assert 0.99 / (0.5 * block + 1.0) ** 2 < bounds[1]
 
 
 def test_scan_memory_does_not_grow_with_the_sample_count(rig_d):

@@ -451,10 +451,17 @@ def test_entry_exits_with_the_main_code(tmp_path, rig_d_path, monkeypatch):
         assert exc.value.code == code
 
 
-def test_evaluate_refuses_y1_that_overflows_without_a_warning(rig_d_path, capsys):
+def test_evaluate_refuses_y1_that_overflows_without_a_warning(tmp_path, rig_d_path, capsys):
+    """At a focal length of 0.1 px, ℓ_y = 100·y1 - 24000 overflows at 1.7e308. No ℓ or g
+    of rig_d overflows at a finite y1: at 1e200 its metric has a value."""
+    A = np.array([[0.1, 0.0, 320.0], [0.0, 0.1, 240.0], [0.0, 0.0, 1.0]])
+    calib = write_rig(tmp_path, StereoRig(make_camera(A, np.eye(3), (0.0, 0.0, 0.0)),
+                                          make_camera(A, np.eye(3), (1.0, 0.0, 0.0))), "tiny.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["evaluate", rig_d_path, "--y1", "1e200"]) == 2
+        assert main(["evaluate", rig_d_path, "--y1", "1e200"]) == 0
+        assert capsys.readouterr().out == "2.36464e+10\n"
+        assert main(["evaluate", calib, "--y1", "1.7e308"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")

@@ -1,6 +1,7 @@
 """Distortion metric: moment matrices, operands, and the y-parametrisation."""
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minrect import distortion
-from minrect.baselines import random_rig, scan_minimize
+from minrect.baselines import STRESS_SCAN_SAMPLES, random_rig, scan_minimize
 from minrect.distortion import (
     DistortionOperands,
+    MomentMatrices,
     distortion_of_w,
     distortion_of_y,
     distortion_of_y_many,
@@ -21,8 +23,10 @@ from minrect.distortion import (
     w_from_y,
     w_from_y_raw,
 )
-from minrect.errors import BadDimensions, DegenerateCenter, InvalidArgument, PoleAtY
+from minrect.errors import (BadDimensions, DegenerateCenter, InvalidArgument, MinrectError,
+                            PoleAtY)
 from minrect.geometry import Camera, StereoRig
+from minrect.rectify import assemble
 
 
 def brute_moments(width, height):
@@ -256,14 +260,19 @@ def test_distortion_of_y_raises_at_a_pole(rig_d):
 
 
 def test_distortion_of_y_refuses_y1_where_the_quadratic_forms_overflow(rig_d):
-    """y1² overflows above about 1e154: a refusal with no RuntimeWarning, not a pole."""
-    ops = operand_matrices(rig_d)
+    """An ℓ or g that overflows is a refusal with no RuntimeWarning, not a pole: 2y and
+    1e5·y + 1 at ±1.7e308. rig_d's forms overflow at no finite y1, and its metric tends
+    to Σ s·(ℓ'/g₁)², about 2.3646e10."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for y in (1e200, -1e200, 1e308):
-            with pytest.raises(InvalidArgument, match="overflows the distortion function"):
-                distortion_of_y(ops, y)
-        assert math.isfinite(distortion_of_y(ops, 1e150))
+        for term in (((2.0, 0.0), ZERO, ONE), (ONE, ZERO, (1e5, 1.0))):
+            ops = rational_ops(term, (ONE, ZERO, ONE))
+            for y in (1.7e308, -1.7e308):
+                with pytest.raises(InvalidArgument, match="overflows the distortion function"):
+                    distortion_of_y(ops, y)
+        ops = operand_matrices(rig_d)
+        for y in (1e150, 1e200, -1e200, 1e308, -1.7e308):
+            assert distortion_of_y(ops, y) == pytest.approx(2.3646e10, rel=1e-4)
 
 
 def test_w_from_y_raises_where_the_row_cannot_be_rescaled(rig_d):
@@ -312,15 +321,16 @@ def test_distortion_of_w_refuses_only_where_g_is_zero_or_a_value_is_not_finite()
     assert 0.0 < distortion_of_w(near, [0.0, 0.0, 1.0], m, m) < math.inf
     assert distortion_of_w([0.0, 0.0, 1e200], [0.0, 0.0, 2.0 ** -500], m, m) == 0.0
     # On 2x2, p̄ = (0.5, 0.5, 1) and ppt = diag(1, 1, 0); the unit row of (1, -1, t) is
-    # (1/2, -1/2, t/2), with N = 1/2 and g = t/2 exactly, so N/g² = 2/t²
+    # (1/2, -1/2, t/2), with g = t/2 exactly, so (ℓ_x/g)² + (ℓ_y/g)² = 2/t²
     m2 = moment_matrices(2, 2)
     assert distortion_of_w([1.0, -1.0, 2.0 ** -500], [0.0, 0.0, 1.0], m2, m2) == 2.0 ** 1001
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in (2.0 ** -520, 2.0 ** -600):  # 2¹⁰⁴¹ overflows; g² underflows to 0
+        for t in (2.0 ** -520, 2.0 ** -600):  # (1/t)² overflows
             with pytest.raises(DegenerateCenter, match="not finite"):
                 distortion_of_w([1.0, -1.0, t], [0.0, 0.0, 1.0], m2, m2)
-        for w in ([math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [1e308, -math.inf, 0.0]):
+        for w in ([math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [1e308, -math.inf, 0.0],
+                  [0.0, 0.0, math.inf]):
             with pytest.raises(DegenerateCenter, match="not finite"):
                 distortion_of_w(w, [0.0, 0.0, 1.0], m, m)
 
@@ -363,29 +373,31 @@ def test_admissibility_excludes_poles(rig_d):
 # --- the vectorised metric against a whole-array reference -------------------------
 
 def float_forms(ops):
-    """Per term, from the operand matrices: the numerator's coefficients (y², y, 1) from
-    M_i, and (g1, g0) = p_bar^T L_i with p = -g0/g1 (inf where g1 == 0), as numpy scalars."""
+    """Per term, from the operand matrices: the pairs (s_x, ℓ_x) and (s_y, ℓ_y), each s a
+    diagonal entry of ppt and each ℓ its coefficients (y, 1) from a row of L_i, then
+    (g1, g0) = p_bar^T L_i with p = -g0/g1 (inf where g1 == 0), as numpy scalars."""
     forms = []
-    for L, M, mom in ((ops.L1, ops.M1, ops.moments1), (ops.L2, ops.M2, ops.moments2)):
+    for L, mom in ((ops.L1, ops.moments1), (ops.L2, ops.moments2)):
         _, g1, g0 = mom.pcpct[2] @ L
-        forms.append(((M[1, 1], 2.0 * M[1, 2], M[2, 2]), g1, -g0 / g1 if g1 else math.inf, g0))
+        axes = ((mom.ppt[0, 0], L[0, 1], L[0, 2]), (mom.ppt[1, 1], L[1, 1], L[1, 2]))
+        forms.append((axes, g1, -g0 / g1 if g1 else math.inf, g0))
     return forms
 
 
 def reference_many(ops, ys):
     """Whole-array evaluation of the metric, one temporary per step: the reference
-    that distortion_of_y_many must match bit for bit. Each term is N/g² with
-    g = g1·(y - p), or g0 where g1 == 0. A sample reads +inf where a term's N is not
-    finite, its g² is 0 or not finite, or the sum is not finite."""
+    that distortion_of_y_many must match bit for bit. Each term is s_x·r_x·r_x +
+    s_y·r_y·r_y with r = ℓ/g and g = g1·(y - p), or g0 where g1 == 0. A sample reads
+    +inf where a term's ℓ or g is not finite, its g is 0, or the sum is not finite."""
     ys = np.asarray(ys, dtype=float)
     total, bad = np.zeros_like(ys), np.zeros(ys.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (n2, n1, n0), g1, p, g0 in float_forms(ops):
-            num = (n2 * ys + n1) * ys + n0
+        for ((sx, x1, x0), (sy, y1, y0)), g1, p, g0 in float_forms(ops):
             g = (ys - p) * g1 if g1 else np.full(ys.shape, g0)
-            den = g * g
-            bad |= ~np.isfinite(num) | ~np.isfinite(den) | (den == 0.0)
-            total = total + num / den
+            lx, ly = x1 * ys + x0, y1 * ys + y0
+            bad |= ~np.isfinite(lx) | ~np.isfinite(ly) | ~np.isfinite(g) | (g == 0.0)
+            rx, ry = lx / g, ly / g
+            total = total + (sx * (rx * rx) + sy * (ry * ry))
     return np.where(bad | ~np.isfinite(total), np.inf, total)
 
 
@@ -398,26 +410,21 @@ def assert_same_as_reference(ops, ys):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
-def rational_ops(num1, g1, num2, g2):
-    """Operands whose metric is num1/g1² + num2/g2²: each num a coefficient triple
-    (y², y, 1) of a quadratic in the horizon intercept, each g a pair (g₁, g₀) of the
-    linear form g₁·y + g₀. L_i is zero but for its last row, (0, g₁, g₀), which is
-    then p_bar^T L_i for every p_bar with last entry 1; C_i is the rank-1
-    L_i^T p_bar p_bar^T L_i."""
-    def form(a, b, c):
-        return np.array([[0.0, 0.0, 0.0], [0.0, a, b / 2.0], [0.0, b / 2.0, c]])
+def rational_ops(term1, term2):
+    """Operands whose metric is (ℓ_x² + ℓ_y²)/g² summed over two terms, each a triple
+    (ℓ_x, ℓ_y, g) of pairs (c₁, c₀), the linear form c₁·y + c₀. The image is 2x2 with its
+    pixel centres at (±1/2, ±1/2), so s_x = s_y = 1 and p_bar = (0, 0, 1). Rows 0, 1 and 2
+    of L_i are (0, c₁, c₀) of ℓ_x, ℓ_y and g; M_i and C_i are L_i^T·ppt·L_i and
+    L_i^T·p_bar·p_bar^T·L_i."""
+    m = MomentMatrices(ppt=moment_matrices(2, 2).ppt, pcpct=np.diag([0.0, 0.0, 1.0]))
+    L1, L2 = (np.array([[0.0, *lx], [0.0, *ly], [0.0, *g]]) for lx, ly, g in (term1, term2))
+    with np.errstate(over="ignore", invalid="ignore"):  # the metric does not read M_i or C_i
+        M1, M2, C1, C2 = (L.T @ mom @ L for mom in (m.ppt, m.pcpct) for L in (L1, L2))
+    return DistortionOperands(L1=L1, L2=L2, M1=M1, M2=M2, C1=C1, C2=C2, moments1=m, moments2=m)
 
-    def linear(g1, g0):
-        L = np.zeros((3, 3))
-        L[2, 1:] = g1, g0
-        return L
 
-    m = moment_matrices(2, 2)
-    L1, L2 = linear(*g1), linear(*g2)
-    with np.errstate(over="ignore"):  # C_i is inf where g₁² is; the metric does not read it
-        C1, C2 = np.outer(L1[2], L1[2]), np.outer(L2[2], L2[2])
-    return DistortionOperands(L1=L1, L2=L2, M1=form(*num1), M2=form(*num2), C1=C1, C2=C2,
-                              moments1=m, moments2=m)
+# the linear forms y, 1 and 0, as coefficients (y, 1)
+Y, ONE, ZERO = (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)
 
 
 def pi2_ops(count, seed=3):
@@ -469,26 +476,25 @@ def test_many_matches_reference_across_block_lengths(rig_d):
 
 
 def test_many_matches_reference_where_a_denominator_is_not_positive():
-    """g² is never negative: it is 0 at the pole, and, for g = 2⁻⁵⁶⁵·(y - 3), also
-    wherever it underflows, |y - 3| < 2^27.5 (about 1.9e8). Both read +inf."""
-    ops = rational_ops((1.0, 0.0, 0.0), (1.0, -3.0), (0.0, 0.0, 1.0), (1.0, -20.0))
+    """g is 0 at the pole, and, for g = 2⁻¹⁰⁷⁴·(y - 3), also wherever it underflows,
+    |y - 3| <= 1/2. Both read +inf; elsewhere 2⁻¹⁰⁷⁴/g is 1/round(y - 3)."""
+    ops = rational_ops((Y, ZERO, (1.0, -3.0)), (ONE, ZERO, (1.0, -20.0)))
     ys = np.concatenate([np.linspace(-10.0, 10.0, 2 * distortion._BLOCK + 3), [3.0]])
     got = distortion_of_y_many(ops, ys)
     assert np.array_equal(np.isinf(got), ys == 3.0)
     assert_same_as_reference(ops, ys)
-    tiny = math.ldexp(1.0, -565)
-    ops = rational_ops((0.0, 0.0, math.ldexp(1.0, -600)), (tiny, -3.0 * tiny), (0.0, 0.0, 1.0),
-                       (0.0, 1.0))
-    ys = np.linspace(-1e9 + 3.0, 1e9 + 3.0, 4001)
+    tiny = math.ldexp(1.0, -1074)
+    ops = rational_ops(((0.0, tiny), ZERO, (tiny, -3.0 * tiny)), (ONE, ZERO, ONE))
+    ys = np.linspace(-7.0, 13.0, 4001)
     got = distortion_of_y_many(ops, ys)
-    assert np.array_equal(np.isinf(got), np.abs(ys - 3.0) < 2.0 ** 27.5)
+    assert np.array_equal(np.isinf(got), np.abs(ys - 3.0) <= 0.5)
     assert_same_as_reference(ops, ys)
 
 
 def test_many_matches_reference_on_signed_zeros():
-    # both numerators are -0.0 for y < 0, so both terms are -0.0 there: 0 + term1 + term2
-    # makes +0.0 of them
-    ops = rational_ops((0.0, 0.0, -0.0), (1.0, -20.0), (0.0, 0.0, -0.0), (1.0, 20.0))
+    # every ℓ is -0.0, so each r is ±0.0: r·r makes +0.0 of it
+    ops = rational_ops(((0.0, -0.0), (0.0, -0.0), (1.0, -20.0)),
+                       ((0.0, -0.0), (0.0, -0.0), (1.0, 20.0)))
     ys = np.linspace(-3.0, 3.0, 7)
     assert np.signbit(reference_many(ops, ys)).sum() == 0
     assert_same_as_reference(ops, ys)
@@ -502,35 +508,38 @@ def test_many_matches_reference_on_nonfinite_samples(rig_d):
 
 
 def test_many_reads_overflowing_samples_as_inf_without_a_warning(rig_d):
-    ops = operand_matrices(rig_d)
+    """2y overflows at ±1.7e308; rig_d's forms overflow at no finite y."""
+    ops = rational_ops(((2.0, 0.0), ZERO, ONE), (ONE, ZERO, ONE))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = distortion_of_y_many(ops, [1e200, -1e300])
-    assert got.tolist() == [math.inf, math.inf]
+        got = distortion_of_y_many(ops, [1.7e308, -1.7e308, 1e100])
+        assert np.isfinite(distortion_of_y_many(operand_matrices(rig_d), [1e200, -1e300])).all()
+    assert got[:2].tolist() == [math.inf, math.inf] and math.isfinite(got[2])
 
 
 def test_many_reads_a_sample_whose_denominator_alone_overflows_as_inf():
-    """y²/(1e5·y + 1)² is least at y = 1 on [1, 1e160]. From y ≈ 1.3e149 its g²
-    overflows while its numerator does not; read as 0, such a sample would be
-    the scan's minimum."""
-    ops = rational_ops((1.0, 0.0, 0.0), (1e5, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0))
-    ys = [1e100, 1e150, 1e160]  # at 1e150 g² alone overflows, at 1e160 N too
+    """(2y)²/(1e5·y + 1)² is least at y = 1 on [1, 1.7e308]. From y ≈ 1.8e303 its g
+    overflows while its ℓ does not; read as 0, such a sample would be the scan's
+    minimum."""
+    ops = rational_ops(((2.0, 0.0), ZERO, (1e5, 1.0)), (ZERO, ZERO, ONE))
+    ys = [1e100, 1e304, 1.7e308]  # at 1e304 g alone overflows, at 1.7e308 ℓ too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = distortion_of_y_many(ops, ys)
-        y, d = scan_minimize(ops, 1.0, 1e160)
-    assert got[0] == pytest.approx(1e-10, rel=1e-15)
+        y, d = scan_minimize(ops, 1.0, 1.7e308)
+    assert got[0] == pytest.approx(4e-10, rel=1e-15)
     assert got[1:].tolist() == [math.inf, math.inf]
     assert_same_as_reference(ops, ys)
     assert y == pytest.approx(1.0, abs=1e-6)
-    assert d == pytest.approx(1.0 / (1e5 + 1.0) ** 2, rel=1e-9)
+    assert d == pytest.approx(4.0 / (1e5 + 1.0) ** 2, rel=1e-9)
 
 
-# a pole inside the grid, no pole, g = 0 everywhere, g² = 0 by underflow everywhere and
-# g² subnormal, under numerators that are 0, positive, negative or large
-SYNTHETIC_G = ((1.0, -3.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1e-300), (0.0, 1e-160))
-SYNTHETIC_N = ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e300), (-1.0, 0.0, 0.0),
-               (0.0, 0.0, -1e300))
+# a pole inside the grid, no pole, g = 0 everywhere, g = 0 by underflow on |y| <= 1/2 and
+# a tiny constant g, under (ℓ_x, ℓ_y) that are 0, y, a large constant, 2y, which overflows
+# at ±1.7e308, and y beside a large constant
+SYNTHETIC_G = ((1.0, -3.0), ONE, ZERO, (math.ldexp(1.0, -1074), 0.0), (0.0, 1e-300))
+SYNTHETIC_L = ((ZERO, ZERO), (Y, ZERO), ((0.0, 1e150), ZERO), ((2.0, 0.0), ZERO),
+               (Y, (0.0, 1e150)))
 
 
 def test_many_is_finite_or_plus_inf_on_finite_samples():
@@ -542,9 +551,9 @@ def test_many_is_finite_or_plus_inf_on_finite_samples():
         ys += [near_pole_samples(p) for p in poles(ops) if math.isfinite(p)]
         cases.append((ops, np.concatenate(ys)))
     ys = np.concatenate([np.linspace(-10.0, 10.0, 4001), [2.0, 3.0, 4.0]])
-    for g1 in SYNTHETIC_G:
-        for num1 in SYNTHETIC_N:
-            cases.append((rational_ops(num1, g1, (0.0, 0.0, 1.0), (1.0, -20.0)), ys))
+    for g in SYNTHETIC_G:
+        for lx, ly in SYNTHETIC_L:
+            cases.append((rational_ops((lx, ly, g), (ONE, ZERO, (1.0, -20.0))), ys))
     for ops, ys in cases:
         got = distortion_of_y_many(ops, ys)
         assert (np.isfinite(got) | (got == np.inf)).all()
@@ -552,24 +561,24 @@ def test_many_is_finite_or_plus_inf_on_finite_samples():
 
 
 def test_scalar_metric_refuses_exactly_where_many_reads_inf():
-    """On the synthetic cases above, and at samples where only a numerator
-    overflows: distortion_of_y returns the bits distortion_of_y_many reads, and
-    refuses exactly where it reads +inf, without a warning."""
+    """On the synthetic cases above, and at samples where only an ℓ overflows:
+    distortion_of_y returns the bits distortion_of_y_many reads, and refuses exactly
+    where it reads +inf, without a warning."""
     ys = np.concatenate([np.linspace(-10.0, 10.0, 4001), [2.0, 3.0, 4.0],
-                         [1e155, -1e155, 1e200, -1e200]])
+                         [1e155, -1e200, 1.7e308, -1.7e308]])
     refused = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for g1 in SYNTHETIC_G:
-            for num1 in SYNTHETIC_N:
-                ops = rational_ops(num1, g1, (0.0, 0.0, 1.0), (1.0, -20.0))
+        for g in SYNTHETIC_G:
+            for lx, ly in SYNTHETIC_L:
+                ops = rational_ops((lx, ly, g), (ONE, ZERO, (1.0, -20.0)))
                 for y, many in zip(ys.tolist(), distortion_of_y_many(ops, ys).tolist()):
                     if many == math.inf:
                         with pytest.raises((PoleAtY, InvalidArgument)) as exc:
                             distortion_of_y(ops, y)
                         refused.add(exc.type)
                     else:
-                        assert distortion_of_y(ops, y).hex() == many.hex(), (num1, g1, y)
+                        assert distortion_of_y(ops, y).hex() == many.hex(), (lx, ly, g, y)
     assert refused == {PoleAtY, InvalidArgument}
 
 
@@ -580,7 +589,7 @@ def test_scalar_metric_refuses_exactly_where_many_reads_inf():
 def test_many_matches_reference_with_one_pole_in_the_middle_block_and_one_in_the_last():
     block = distortion._BLOCK
     p1, p2 = 1.5 * block, 2.5 * block  # integers: the grid holds each pole exactly
-    ops = rational_ops((1.0, 0.0, 1.0), (1.0, -p1), (0.0, 1.0, 3.0), (1.0, -p2))
+    ops = rational_ops((Y, ONE, (1.0, -p1)), ((1.0, 3.0), ZERO, (1.0, -p2)))
     ys = np.arange(3.0 * block)
     got = distortion_of_y_many(ops, ys)
     assert np.isfinite(got[:block]).all()
@@ -616,12 +625,12 @@ def test_many_matches_reference_with_a_nonfinite_sample_in_a_clean_block(rig_d, 
 
 
 def test_many_matches_reference_where_one_numerator_alone_overflows():
-    """1e10·y²/(y + 1)²: at y = 1e150 the numerator overflows and g² does not, so
-    the sample is refused although every g² of its block is finite."""
+    """(1e5·y)²/(y + 1)²: at y = 1e304 the ℓ overflows and g does not, so the sample
+    is refused although every g of its block is finite."""
     block = distortion._BLOCK
-    ops = rational_ops((1e10, 0.0, 0.0), (1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0))
+    ops = rational_ops(((1e5, 0.0), ZERO, (1.0, 1.0)), (ONE, ZERO, ONE))
     ys = np.linspace(10.0, 1e6, 2 * block)
-    ys[block + 5] = 1e150
+    ys[block + 5] = 1e304
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = distortion_of_y_many(ops, ys)
@@ -631,38 +640,28 @@ def test_many_matches_reference_where_one_numerator_alone_overflows():
 
 
 def test_many_matches_the_scalar_metric_where_one_denominator_alone_overflows():
-    """1/(1e5·y + 1e10)²: at y = 1e150 g² overflows under a numerator of 1, so the
-    term alone would read 0 there; the sample is refused by the reference and by
+    """1/(1e5·y + 1e10)²: at y = 1e304 g overflows under an ℓ of 1, so the term alone
+    would read 0 there; the sample is refused by the reference and by
     ``distortion_of_y`` alike."""
     block = distortion._BLOCK
-    ops = rational_ops((0.0, 0.0, 1.0), (1e5, 1e10), (0.0, 0.0, 1.0), (0.0, 1.0))
+    ops = rational_ops((ONE, ZERO, (1e5, 1e10)), (ONE, ZERO, ONE))
     ys = np.linspace(10.0, 1e6, 2 * block)
-    ys[block + 5] = 1e150
+    ys[block + 5] = 1e304
     got = distortion_of_y_many(ops, ys)
     assert got[block + 5] == math.inf
     assert np.isfinite(np.delete(got, block + 5)).all()
     assert_same_as_reference(ops, ys)
     with pytest.raises(InvalidArgument):
-        distortion_of_y(ops, 1e150)
+        distortion_of_y(ops, 1e304)
     assert all(distortion_of_y(ops, y).hex() == d.hex()
                for y, d in zip(ys.tolist(), got.tolist()) if d != math.inf)
-
-
-def test_many_matches_reference_where_a_numerator_is_large_and_negative():
-    """-1e20·y²/(1e-5·y + 1)²: a numerator far larger than g² is no reason to refuse
-    a sample, whatever its sign; every sample of [10, 1000] reads its negative value."""
-    ops = rational_ops((-1e20, 0.0, 0.0), (1e-5, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0))
-    ys = np.linspace(10.0, 1000.0, distortion._BLOCK + 1)
-    got = distortion_of_y_many(ops, ys)
-    assert (got < 0.0).all() and np.isfinite(got).all()
-    assert_same_as_reference(ops, ys)
 
 
 def test_many_matches_reference_next_to_poles_on_a_block_boundary():
     """A pole and its two neighbouring floats, as the least or the greatest sample of a
     block, one at each side of a block boundary: the pole alone reads +inf."""
     block = distortion._BLOCK
-    cases = [(rational_ops((0.0, 0.0, 1.0), (1.0, -p), (0.0, 1.0, 0.0), (0.0, 1.0)), p)
+    cases = [(rational_ops((ONE, ZERO, (1.0, -p)), (Y, ZERO, ONE)), p)
              for p in (0.0, 1000.5, -3.0e5 - 1.0 / 3.0, 2.0 ** 20 + 0.25)]
     cases += [(ops, p) for ops in pi2_ops(10, seed=23) for p in poles(ops) if math.isfinite(p)]
     for ops, p in cases:
@@ -673,16 +672,79 @@ def test_many_matches_reference_next_to_poles_on_a_block_boundary():
                 ys = np.concatenate([far, [v, v], far])  # v ends block 1 and starts block 2
                 got = distortion_of_y_many(ops, ys)
                 assert got[block - 1].tobytes() == got[block].tobytes()
-                # next to the pole at 0, g² = (5e-324)² underflows to 0 as well
+                # next to the pole at 0, 1/g = 1/5e-324 overflows as well
                 assert (got[block] == math.inf) == (v == y or p == 0.0)
                 assert_same_as_reference(ops, ys)
 
 
 def test_many_matches_reference_on_signed_zeros_over_two_blocks():
-    ops = rational_ops((0.0, 0.0, -0.0), (1.0, -20.0), (0.0, 0.0, -0.0), (1.0, 20.0))
+    ops = rational_ops(((0.0, -0.0), (0.0, -0.0), (1.0, -20.0)),
+                       ((0.0, -0.0), (0.0, -0.0), (1.0, 20.0)))
     block = distortion._BLOCK
     ys = np.linspace(-3.0, 1.0, 2 * block)  # negative throughout block 1, both signs in 2
     assert (ys[:block + 1] < 0.0).all() and ys[-1] > 0.0
     got = distortion_of_y_many(ops, ys)
     assert np.signbit(got).sum() == 0
     assert_same_as_reference(ops, ys)
+
+
+# --- accuracy against exact arithmetic on the float forms -----------------------------
+
+def exact_metric(ops, y: float) -> Fraction:
+    """The metric of the float forms (s, ℓ, g1, p and g0) at y, in exact rational
+    arithmetic."""
+    y, total = Fraction(y), Fraction(0)
+    for axes, g1, p, g0 in float_forms(ops):
+        g = Fraction(float(g1)) * (y - Fraction(float(p))) if g1 else Fraction(float(g0))
+        for s, c1, c0 in axes:
+            total += Fraction(float(s)) * ((Fraction(float(c1)) * y + Fraction(float(c0))) / g) ** 2
+    return total
+
+
+def assert_accurate(ops, ys, rel):
+    """distortion_of_y within ``rel`` of exact arithmetic at each of ``ys``, and within
+    1e-12 of distortion_of_w on w_from_y_raw's rows wherever y is 1 px or more from both
+    poles (nearer, p_bar^T w cancels where g1·(y - p) does not)."""
+    for y in ys:
+        got, exact = distortion_of_y(ops, y), exact_metric(ops, y)
+        assert abs(Fraction(got) - exact) <= Fraction(rel) * exact, y
+        if all(abs(y - p) >= 1.0 for p in poles(ops)):
+            via_w = distortion_of_w(*w_from_y_raw(ops, y), ops.moments1, ops.moments2)
+            assert abs(via_w - got) <= 1e-12 * got, y
+
+
+def stress_rig(seed, trial):
+    """The rig of ``trial`` in a ``stress`` run under ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trial):
+        random_rig(rng)
+    return random_rig(rng)
+
+
+def test_metric_is_accurate_between_close_poles():
+    """Stress trials whose minimum lies between two close poles: within ±0.01 px of the
+    scan minimiser and 1e-3 px from each pole, the metric is within 1e-9 of exact
+    arithmetic. A numerator expanded into monomials of y cancelled there, by up to 9.4e-5
+    (seed 3, trial 1946)."""
+    for seed, trial in ((3, 1946), (1, 960), (7, 1167), (0, 1667), (1, 1094)):
+        rig = stress_rig(seed, trial)
+        ops, h = operand_matrices(rig), rig.cam1.height
+        y_min, _ = scan_minimize(ops, -10.0 * h, 10.0 * h, STRESS_SCAN_SAMPLES)
+        ys = np.linspace(y_min - 0.01, y_min + 0.01, 21).tolist()
+        ys += [p + d for p in poles(ops) for d in (-1e-3, 1e-3) if math.isfinite(p)]
+        assert_accurate(ops, ys, 1e-9)
+
+
+def test_metric_is_accurate_on_seeded_rigs():
+    """At the closed-form minimum and 1e-3 px from each pole of 300 pi/2 rigs, the metric
+    is within 1e-13 of exact arithmetic."""
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        rig = random_rig(rng, max_angle=math.pi / 2)
+        ops = operand_matrices(rig)
+        ys = [p + d for p in poles(ops) for d in (-1e-3, 1e-3) if math.isfinite(p)]
+        try:
+            ys.append(assemble(rig).y1_star)
+        except MinrectError:  # a closed-form miss is no concern of the metric
+            pass
+        assert_accurate(ops, ys, 1e-13)

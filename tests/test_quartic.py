@@ -32,7 +32,8 @@ from minrect.baselines import random_rig
 from minrect.geometry import StereoRig
 from minrect.rectify import assemble
 from test_acceptance import scan_gap
-from test_distortion import float_forms, near_pole_samples, pi2_ops, rational_ops
+from test_distortion import (ONE, Y, ZERO, exact_metric, near_pole_samples, pi2_ops,
+                             rational_ops)
 from test_small_c22 import two_cameras
 
 
@@ -258,7 +259,7 @@ def test_select_minimum_beats_dense_scan(rig_d):
 
 
 # y²/(y - 2)² + 1/(y - 20)²: g of the first term is 0 at y = 2.
-POLE_OPS = rational_ops((1, 0, 0), (1, -2), (0, 0, 1), (1, -20))
+POLE_OPS = rational_ops((Y, ZERO, (1.0, -2.0)), (ONE, ZERO, (1.0, -20.0)))
 
 
 def test_select_minimum_skips_admissible_root_with_zero_denominator():
@@ -316,7 +317,7 @@ def test_rig_without_real_stationary_point_fails_by_name_or_hits_scan():
 def contract_samples(ops) -> np.ndarray:
     """A grid over +-10 image heights, four huge intercepts, and each finite pole
     with its two neighbouring floats and the samples 1e-3 to 10 px from it."""
-    ys = [np.linspace(-4800.0, 4800.0, 41), [1e150, -1e150, 1e200, -1e200]]
+    ys = [np.linspace(-4800.0, 4800.0, 41), [1e150, -1e200, 1.7e308, -1.7e308]]
     ys += [near_pole_samples(p) for p in poles(ops) if math.isfinite(p)]
     return np.concatenate(ys)
 
@@ -356,7 +357,7 @@ def test_metric_and_selection_share_one_contract_on_seeded_rigs():
 def test_metric_is_defined_one_float_from_a_pole():
     """(y² + 1)/(y - 1)²: y = 1 alone is undefined. One float above it g² is about
     4.9e-32, and the metric, about 8e31, is a root that selection may keep."""
-    ops = rational_ops((1, 0, 1), (1, -1), (0, 0, 1), (0, 1))
+    ops = rational_ops((Y, ONE, (1.0, -1.0)), (ONE, ZERO, ONE))
     above = math.nextafter(1.0, 2.0)
     ys = np.concatenate([contract_samples(ops), [0.0, 1.0, above]])
     assert distortion_of_y_many(ops, [1.0]).tolist() == [math.inf]
@@ -367,26 +368,15 @@ def test_metric_is_defined_one_float_from_a_pole():
 
 
 def test_selection_skips_a_root_where_only_a_denominator_overflows():
-    """y²/(1e5·y)² is 1e-10 wherever it is defined; at 1e150 its g² overflows
-    while its numerator does not."""
-    ops = rational_ops((1, 0, 0), (1e5, 0), (0, 0, 0), (0, 1))
+    """y²/(1e5·y)² is about 1e-10 wherever it is defined; at 1e304 its g overflows
+    while its ℓ does not."""
+    ops = rational_ops((Y, ZERO, (1e5, 0.0)), (ZERO, ZERO, ONE))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y_star, d_star = select_minimum(ops, None, RootSet(roots=(1.0, 1e150),
+        y_star, d_star = select_minimum(ops, None, RootSet(roots=(1.0, 1e304),
                                                            residuals=(0.0, 0.0)))
-    assert (y_star, d_star) == (1.0, 1e-10)
-    assert_one_contract(ops, contract_samples(ops), [1.0, 1e150])
-
-
-def exact_metric(ops, y: float) -> Fraction:
-    """The metric of the float forms (N's coefficients, g1, p and g0) at y, in exact
-    rational arithmetic."""
-    Y, total = Fraction(y), Fraction(0)
-    for (n2, n1, n0), g1, p, g0 in float_forms(ops):
-        g = Fraction(float(g1)) * (Y - Fraction(float(p))) if g1 else Fraction(float(g0))
-        num = (Fraction(float(n2)) * Y + Fraction(float(n1))) * Y + Fraction(float(n0))
-        total += num / g ** 2
-    return total
+    assert (y_star, d_star) == (1.0, 1e-5 * 1e-5)
+    assert_one_contract(ops, contract_samples(ops), [1.0, 1e304])
 
 
 def test_metric_next_to_poles_is_accurate_and_shares_one_contract():

@@ -121,17 +121,18 @@ def test_exactly_zero_c22_raises_or_is_exact():
 
 def test_y_independent_denominators_have_no_pole():
     """On the same rig [C_i]_22 and [C_i]_23 are both 0: each denominator is a
-    constant, so no y is excluded and the scan finds the exact zero without a warning,
-    while assemble still stops at the quartic."""
+    constant, so no y is excluded, the metric is exactly 0 at y = 240, and the scan
+    stops within its tolerance of that zero without a warning, while assemble still
+    stops at the quartic."""
     A = np.array([[512.0, 0.0, 320.0], [0.0, 512.0, 240.0], [0.0, 0.0, 1.0]])
     rig = two_cameras(A, A, np.eye(3), (-1.0, 0.0, 0.0), 641, 481)
     ops = operand_matrices(rig)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert poles(ops) == (math.inf, math.inf)
-        assert distortion_of_y(ops, 0.0) > 0.0 and distortion_of_y(ops, 240.0) >= 0.0
+        assert distortion_of_y(ops, 0.0) > 0.0 and distortion_of_y(ops, 240.0) == 0.0
         y, d = scan_minimize(ops, -4810.0, 4810.0)
-        assert d == 0.0 and abs(y - 240.0) <= 1e-4
+        assert 0.0 <= d <= 1e-15 and abs(y - 240.0) <= 1e-4
         assert np.isfinite(distortion_of_y_many(ops, np.linspace(-4810.0, 4810.0, 1001))).all()
         with pytest.raises(PipelineError) as exc:
             assemble(rig)

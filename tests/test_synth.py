@@ -11,7 +11,11 @@ from minrect.warp import from_array, source_coords
 def loop_texture(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Procedural plane texture sampled at plane coordinates."""
     checker = (np.floor(px / synth.CHECKER_SIZE) + np.floor(py / synth.CHECKER_SIZE)) % 2
-    value = 60.0 + 50.0 * checker + 20.0 * (px - px.min()) / max(np.ptp(px), 1e-9)
+    lo, span = px.min(), np.ptp(px)
+    if not np.isfinite(span):  # the horizon through a pixel centre: the finite range
+        finite = px[np.isfinite(px)]
+        lo, span = (finite.min(), np.ptp(finite)) if finite.size else (0.0, 0.0)
+    value = 60.0 + 50.0 * checker + 20.0 * (px - lo) / max(span, 1e-9)
     for cx, cy in synth._marker_centers():
         inside = (px - cx) ** 2 + (py - cy) ** 2 <= synth.MARKER_RADIUS ** 2
         value = np.where(inside, 255.0, value)
@@ -81,13 +85,21 @@ def test_render_view_matches_the_disk_loop_on_random_cameras():
 
 def test_render_view_matches_the_disk_loop_with_the_horizon_on_pixel_centres():
     """The horizon through row 4: those pixels' plane coordinates are not finite, and
-    both renderers raise the same warning."""
+    both renderers raise the same warning, from the checker's +inf + -inf off the plane.
+    The brightness ramp spans the finite coordinates, so the plane is not all 0."""
     R = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     A = np.array([[4.0, 0.0, 8.0], [0.0, 4.0, 4.0], [0.0, 0.0, 1.0]])
     cam = Camera(A=A, R=R, t=-R @ np.array([0.0, -3.0, 0.0]), width=16, height=9)
     got = outcome(synth.render_view, cam)
     assert got == outcome(loop_render_view, cam)
     assert got[0] is RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        gray = synth.render_view(cam).data[..., 0]
+        assert gray.tobytes() == loop_render_view(cam).data[..., 0].tobytes()
+        px, py = source_coords(np.linalg.inv(synth._plane_homography(cam)), 16, 9)
+    on_plane = (px >= -2.0) & (px <= 3.0) & (py >= -2.0) & (py <= 2.0)
+    assert on_plane.any() and gray[on_plane].all()
 
 
 def test_texture_matches_the_disk_loop_at_the_disk_rims_and_between_disks():
