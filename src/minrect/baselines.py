@@ -44,56 +44,54 @@ def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     return complete_homographies(rig, Rnew, float("nan"), dist)
 
 
-def _block_bounds(ops: DistortionOperands, lo: float, hi: float, samples: int) -> list[float]:
-    """Per block of ``_BLOCK`` samples of ``np.linspace(lo, hi, samples)``, a float >= 0
-    that none of the block's samples reads below in ``_fill_block``.
+def _chunk_bounds(ops: DistortionOperands, lo: float, hi: float, samples: int,
+                  chunk: int) -> np.ndarray:
+    """Per chunk of ``chunk`` samples of ``np.linspace(lo, hi, samples)``, a float >= 0
+    that none of the chunk's samples reads below in ``_fill_block``.
 
-    The block's samples lie between its end samples, taken with the grid's arithmetic.
+    The chunk's samples lie between its end samples, taken with the grid's arithmetic,
+    the last one hi (k·step + lo stays on lo's side of hi for every k < samples - 1).
     Where a form ℓ keeps its sign there, r = ℓ/g is a Möbius function with no zero, so |r|
-    is least at an end sample (it grows toward a pole inside the block). Less 1e-12·|r|·
+    is least at an end sample (it grows toward a pole inside the chunk). Less 1e-12·|r|·
     (1 + (|c1|·max|y| + |c0|)/min|ℓ|), over 10³ times the rounding of ℓ, g and r, that
     bounds every sample's float |r|, and rounding is monotone. An ℓ that may change sign or
     is below 1e-150 (so that (ℓ/g)² overflows wherever g underflows), or a g at an end
-    below 1e-300 or not finite, bounds its term by 0."""
+    below 1e-300 or not finite, bounds its term by 0. The four (term, axis) rows are
+    bounded at once, against the end samples of every chunk."""
     div, delta = samples - 1, hi - lo
     step = delta / div
-    bounds = []
-    for start in range(0, samples, _BLOCK):
-        last = min(start + _BLOCK, samples) - 1
-        if step:
-            a, b = start * step + lo, last * step + lo
-        else:
-            a, b = start / div * delta + lo, last / div * delta + lo
-        if b < a:
-            a, b = b, a
-        if last == div:
-            a, b = min(a, hi), max(b, hi)
-        big, total = max(abs(a), abs(b)), 0.0
-        for axes, g1, p, g0 in ops.terms:
-            ga, gb = ((a - p) * g1, (b - p) * g1) if g1 else (g0, g0)
-            term = 0.0
-            for s, c1, c0 in axes if 1e-300 < min(abs(ga), abs(gb)) < math.inf else ():
-                la, lb = c1 * a + c0, c1 * b + c0
-                low = min(abs(la), abs(lb)) if (la > 0.0) == (lb > 0.0) else 0.0
-                if low > 1e-150:  # False where low is NaN
-                    r = min(abs(la / ga), abs(lb / gb))
-                    r -= 1e-12 * r * (1.0 + (abs(c1) * big + abs(c0)) / low)
-                    term += s * (r * r) if r > 0.0 else 0.0
-            total += term
-        bounds.append(total)
-    return bounds
+    # per (term, axis) row; g = g1·(y - p) + 0, or y·0 + g0 where g1 == 0
+    rows = [(s, c1, c0, abs(c1), abs(c0), g1, p if g1 else 0.0, 0.0 if g1 else g0)
+            for axes, g1, p, g0 in ops.terms for s, c1, c0 in axes]
+    s, c1, c0, a1, a0, g1, p, g0 = np.array(rows).T[:, :, None]  # each (4, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.arange(0, samples, chunk, dtype=float) + [[0.0], [chunk - 1.0]]
+        ends = k * step + lo if step else k / div * delta + lo  # first and last samples
+        ends[1, -1] = hi
+        big, ends = np.abs(ends).max(axis=0), ends[:, None]
+        g = (ends - p) * g1 + g0  # (2, 4, chunks), as is ℓ
+        ell = c1 * ends + c0
+        low = np.abs(ell).min(axis=0)
+        r = np.abs(ell / g).min(axis=0)
+        r -= 1e-12 * r * (1.0 + (a1 * big + a0) / low)
+        # False where a NaN is compared; a g that is not finite at an end makes r 0 or NaN
+        keep = (ell[0] * ell[1] > 0.0) & (low > 1e-150) & (np.abs(g).min(axis=0) > 1e-300)
+        term = np.where(keep & (r > 0.0), s * (r * r), 0.0)
+    return (term[0] + term[1]) + (term[2] + term[3])
 
 
 def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
                   samples: int = 200_001) -> tuple[float, float]:
     """Least sample of a grid over [y_lo, y_hi], refined by re-scans; independent oracle.
 
-    Each grid, written with ``np.linspace``'s arithmetic and evaluated a block at a time
-    in fixed memory, yields its first sample of least value. A grid of more than one
-    block evaluates its blocks in ascending order of ``_block_bounds`` and stops at the
-    first bound above the least value found, so it returns the dense scan's bits. The
-    interval between that sample's neighbours is re-scanned with 1001 samples until it
-    is within 1e-10 * (1 + |lo| + |hi|); the last best sample and its value are returned."""
+    Each grid, written with ``np.linspace``'s arithmetic and evaluated ``_BLOCK`` samples
+    at a time in fixed memory, yields its first sample of least value. A grid of more than
+    ``_BLOCK`` samples is cut into at most 128 chunks of at least 2048 samples, bounded by
+    ``_chunk_bounds``: the chunk of least bound is evaluated first, then, in ascending
+    order, every other chunk whose bound is not above the least value found, so it returns
+    the dense scan's bits. The interval between that sample's neighbours is re-scanned
+    with 1001 samples until it is within 1e-10 * (1 + |lo| + |hi|); the last best sample
+    and its value are returned."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1001:
         raise InvalidArgument(f"samples must be an integer of at least 1001, got {samples!r}")
     try:
@@ -103,36 +101,56 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     if not math.isfinite(hi - lo):  # also NaN or inf if either bound is
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
-    samples = int(samples)  # so that _block_bounds runs on Python floats, which never warn
+    samples = int(samples)  # so that sample arithmetic runs on Python ints and floats: no warning
     counts = np.arange(min(samples, _BLOCK), dtype=float)
     ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((3, counts.size))
+
+    def scan(chunks, i, best):
+        """(i, best) updated with the first least sample of ``chunks``, ascending chunk
+        numbers of the current grid, whose samples are packed into ``ys`` and filled
+        ``_BLOCK`` at a time."""
+        pieces, used = [], 0  # (offset in ys, sample number) of each piece packed so far
+        for c in chunks:
+            start, stop = c * chunk, min(c * chunk + chunk, samples)
+            while start < stop:
+                n = min(stop - start, ys.size - used)
+                np.add(counts[:n], start, out=ys[used:used + n])
+                pieces.append((used, start))
+                used, start = used + n, start + n
+                if used < ys.size and (start < stop or c != chunks[-1]):
+                    continue  # fill once the buffers are full or every sample is packed
+                y, v = ys[:used], vals[:used]
+                if not step:
+                    y /= div
+                y *= step or delta
+                y += lo
+                if start == samples:
+                    y[-1] = hi  # np.linspace's last sample, packed last
+                _fill_block(ops, y, v, buffers)
+                j = int(v.argmin())
+                offset, first = max(piece for piece in pieces if piece[0] <= j)
+                if v[j] < best or (v[j] == best and first + j - offset < i):
+                    i, best = first + j - offset, float(v[j])  # ties keep the first sample
+                pieces, used = [], 0
+        return i, best
+
     while True:
         div, delta = samples - 1, hi - lo
         step = delta / div  # np.linspace's: k·step + lo, or k/div·delta + lo if step is 0
-        bounds = _block_bounds(ops, lo, hi, samples) if samples > _BLOCK else [-math.inf]
-        i, best = -1, np.inf
-        for block in sorted(range(len(bounds)), key=bounds.__getitem__):
-            if bounds[block] > best:
-                break  # every later bound is at least as high
-            start = block * _BLOCK
-            y, v = ys[:samples - start], vals[:samples - start]
-            np.add(counts[:y.size], start, out=y)
-            if not step:
-                y /= div
-            y *= step or delta
-            y += lo
-            y[div - start:] = hi  # np.linspace's last sample, in the last block only
-            _fill_block(ops, y, v, buffers)
-            j = int(np.argmin(v))
-            if v[j] < best or (v[j] == best and start + j < i):  # the first least sample
-                i, best = start + j, v[j]
+        chunk, bounds = samples, [0.0]
+        if samples > _BLOCK:
+            chunk = max(2048, -(-samples // 128))
+            bounds = _chunk_bounds(ops, lo, hi, samples, chunk).tolist()
+        least = bounds.index(min(bounds))
+        i, best = scan([least], -1, math.inf)
+        i, best = scan([c for c, b in enumerate(bounds) if b <= best and c != least], i, best)
         if i < 0:
             raise EmptyDomain("every sample is at a pole or overflows")
         # Python floats: |lo| + |hi| may round up to inf, and then without a warning
         lo, hi, y_best = [hi if k == div else (k * step if step else k / div * delta) + lo
                           for k in (max(i - 1, 0), min(i + 1, div), i)]
         if abs(hi - lo) <= 1e-10 * (1.0 + abs(lo) + abs(hi)):  # a reversed grid runs down
-            return np.float64(y_best), best
+            return np.float64(y_best), np.float64(best)
         samples = 1001
 
 

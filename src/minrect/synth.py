@@ -54,8 +54,11 @@ def _texture(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     # to it on both axes, and that test is the one a loop over every disk would make
     inside = (_from_nearest(px, _MARKER_XS) ** 2 + _from_nearest(py, _MARKER_YS) ** 2
               <= MARKER_RADIUS ** 2)
-    checker = np.floor(px / CHECKER_SIZE) + np.floor(py / CHECKER_SIZE)
-    checker -= 2.0 * np.floor(checker / 2.0)  # the sum % 2, exact on whole numbers
+    # +inf + -inf, then inf - inf, where the plane's horizon meets a pixel centre: such a
+    # pixel is off the plane and takes the background value
+    with np.errstate(invalid="ignore"):
+        checker = np.floor(px / CHECKER_SIZE) + np.floor(py / CHECKER_SIZE)
+        checker -= 2.0 * np.floor(checker / 2.0)  # the sum % 2, exact on whole numbers
     lo, hi = px.min(), px.max()
     if not np.isfinite(hi - lo):  # the plane's horizon runs through a pixel centre
         finite = px[np.isfinite(px)]

@@ -443,10 +443,26 @@ def recorded_blocks(monkeypatch):
     return blocks
 
 
+def chunk_size(samples):
+    """The scan's chunk of a grid of more than _BLOCK samples: at most 128 chunks a grid."""
+    return max(2048, -(-samples // 128))
+
+
+def sample_numbers(y, grid):
+    """The least ascending sample numbers k at which grid, a np.linspace grid, holds y's
+    values, or an AssertionError if y is not grid's samples in ascending order, bit for bit."""
+    down = grid[0] > grid[-1]  # a reversed grid runs down
+    first = np.searchsorted(-grid if down else grid, -y if down else y)
+    ramp = np.arange(y.size)
+    k = np.maximum.accumulate(first - ramp) + ramp  # the least k_j >= first_j, k_j > k_j-1
+    assert k[-1] < grid.size and grid[k].tobytes() == y.tobytes()
+    return k
+
+
 def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
-    """Each block of the dense grid that the scan evaluates is np.linspace's grid at that
-    block's offset, bit for bit, and each 1001-sample re-scan grid is np.linspace's
-    between its own first and last samples."""
+    """Each dense fill holds np.linspace's samples in ascending order, bit for bit; every
+    sample whose value is at or below the dense minimum was evaluated; and each 1001-sample
+    re-scan grid is np.linspace's between its own first and last samples."""
     blocks = recorded_blocks(monkeypatch)
     ops = operand_matrices(rig_d)
     block = distortion._BLOCK
@@ -454,23 +470,26 @@ def test_scan_grids_are_those_of_np_linspace(rig_d, monkeypatch):
         for samples in (1001, block + 1, 2 * block + 1, 200_001):
             blocks.clear()
             scan_minimize(ops, lo, hi, samples)
-            # no dense block of these counts has 1001 samples, and the dense grid comes first
+            # a dense fill of these counts holds whole chunks of 2048 samples, bar the last
+            # chunk's 1 or 1345 samples, never 1001, and the dense grid comes first
             dense = sum(y.size != 1001 for y in blocks) if samples > block else 1
             assert dense >= 1 and all(y.size == 1001 for y in blocks[dense:])
             grid = np.linspace(lo, hi, samples)
-            for y in blocks[:dense]:
-                assert any(y.tobytes() == grid[start:start + block].tobytes()
-                           for start in range(0, samples, block)), (lo, hi, samples)
+            seen = np.concatenate([sample_numbers(y, grid) for y in blocks[:dense]])
+            vals = reference_many(ops, grid)
+            lows = grid[vals <= vals.min()].view(np.int64)
+            assert np.isin(lows, grid[seen].view(np.int64)).all(), (lo, hi, samples)
             for y in blocks[dense:]:
                 assert y.tobytes() == np.linspace(y[0], y[-1], 1001).tobytes()
 
 
 def test_scan_of_rig_d_evaluates_at_most_two_of_its_dense_blocks(rig_d, monkeypatch):
-    """Over ±4 800 the 200 001-sample grid has 13 blocks; every block but those next to
-    the minimum has a lower bound above the value found, so it is skipped."""
+    """Over ±4 800 the 200 001-sample grid has 98 chunks; every chunk but those next to
+    the minimum has a lower bound above the value found, so it is skipped, and the rest
+    take at most two fills."""
     blocks = recorded_blocks(monkeypatch)
     assert_scan_same_as_reference(operand_matrices(rig_d), -4800.0, 4800.0)
-    assert -(-200_001 // distortion._BLOCK) == 13
+    assert -(-200_001 // chunk_size(200_001)) == 98
     assert 1 <= sum(y.size != 1001 for y in blocks) <= 2
 
 
@@ -484,20 +503,32 @@ def test_reversed_scan_of_rig_d_is_refined_as_the_forward_one(rig_d):
     assert y == pytest.approx(assemble(rig_d).y1_star, abs=1e-5)
 
 
-def assert_block_bounds_hold(ops, lo, hi, samples):
-    """Each block's bound lies at or below the least value reference_many reads on the
-    block's samples of np.linspace(lo, hi, samples); returns the bounds."""
-    block = distortion._BLOCK
-    bounds = baselines._block_bounds(ops, lo, hi, samples)
+@pytest.mark.parametrize("samples", [1_000_001, 2_097_153])
+def test_scan_matches_reference_where_chunks_are_cut_by_their_count_cap(rig_d, samples):
+    """At 1 000 001 samples the chunk size comes from the 128-chunk cap, and at 2 097 153
+    a chunk holds more than _BLOCK samples, so it is filled in pieces."""
+    assert chunk_size(samples) > 2048 and (chunk_size(samples) > distortion._BLOCK) == (
+        samples > 128 * distortion._BLOCK)
+    for rig in (rig_d, fault_rigs()[4]):
+        h = rig.cam1.height
+        assert_scan_same_as_reference(operand_matrices(rig), -10.0 * h, 10.0 * h, samples)
+
+
+def assert_chunk_bounds_hold(ops, lo, hi, samples):
+    """Each chunk's bound, at the scan's chunk size, lies at or below the least value
+    reference_many reads on the chunk's samples of np.linspace(lo, hi, samples); returns
+    the bounds."""
+    chunk = chunk_size(samples)
+    bounds = baselines._chunk_bounds(ops, lo, hi, samples, chunk)
     vals = reference_many(ops, np.linspace(lo, hi, samples))
-    least = [vals[start:start + block].min() for start in range(0, samples, block)]
+    least = [vals[start:start + chunk].min() for start in range(0, samples, chunk)]
     assert len(bounds) == len(least)
     for k, (bound, low) in enumerate(zip(bounds, least)):
         assert bound <= low, (lo, hi, samples, k, bound, low)
     return bounds
 
 
-def test_block_bounds_hold_on_seeded_rigs_and_fault_rigs():
+def test_chunk_bounds_hold_on_seeded_rigs_and_fault_rigs():
     rng = np.random.default_rng(41)
     rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(300)] + fault_rigs()
     positive = 0
@@ -505,49 +536,51 @@ def test_block_bounds_hold_on_seeded_rigs_and_fault_rigs():
         h = rig.cam1.height
         ops = operand_matrices(rig)
         span = (-10.0 * h, 10.0 * h) if k % 3 else (10.0 * h, -10.0 * h)
-        bounds = assert_block_bounds_hold(ops, *span, 200_001)
+        bounds = assert_chunk_bounds_hold(ops, *span, 200_001)
         positive += sum(b > 0.0 for b in bounds)
-    assert positive >= 0.9 * 13 * len(rigs)  # a bound of 0 everywhere would pass above
+    assert positive >= 0.9 * 98 * len(rigs)  # a bound of 0 everywhere would pass above
 
 
-def test_block_bounds_hold_on_edge_cases(rig_d):
-    """ℓ that change sign, a constant g, poles on block boundaries and inside a block,
-    overflowing and zero-step spans, reversed spans and an ℓ's zero inside a block of a
+def test_chunk_bounds_hold_on_edge_cases(rig_d):
+    """ℓ that change sign, a constant g, poles on chunk boundaries and inside a chunk,
+    overflowing and zero-step spans, reversed spans and an ℓ's zero inside a chunk of a
     reversed grid."""
-    block = distortion._BLOCK
-    lo = -float(block)  # with 3·block + 1 samples, sample k is k + lo exactly
-    edge = (lo, lo + 3.0 * block, 3 * block + 1)
+    chunk = 2048
+    samples = 9 * chunk + 1  # 9 chunks of 2048 samples and one of 1, above _BLOCK
+    assert chunk_size(samples) == chunk and samples > distortion._BLOCK
+    lo = -float(chunk)  # sample k is k + lo exactly
+    edge = (lo, lo + 9.0 * chunk, samples)
     cases = [
         # ℓ that change sign in the grid, with poles, or where g1 == 0
         (rational_ops((Y, ZERO, (1.0, 5.0)), (((-3.0, 1.0), ZERO, (0.5, 1.0)))),
          -1e4, 1e4, 200_001),
         (rational_ops(((1.0, 1.0), (0.0, 1.5), (0.0, 2.0)), (Y, ONE, (0.0, -0.5))),
          -3.0, 3.0, 200_001),
-        # poles on the first sample of block 1 and on the last one of block 1
-        (rational_ops((Y, ONE, Y), ((0.0, 100.0), Y, (1.0, 1.0 - block))), *edge),
+        # poles on the first sample of chunk 1 and on the last one of chunk 1
+        (rational_ops((Y, ONE, Y), ((0.0, 100.0), Y, (1.0, 1.0 - chunk))), *edge),
         (operand_matrices(rig_d), 0.0, 1e300, 200_001),
         (operand_matrices(rig_d), 1e300, 0.0, 200_001),
         (operand_matrices(rig_d), 0.0, 2e-321, 200_001),
         (rational_ops(((1e300, -1e-21), ZERO, ONE), (ONE, ZERO, (5e307, 1.0))),
          0.0, 2e-321, 200_001),
         # np.linspace's last sample 0.3, where k·step + lo reads 0.3 + 5.6e-17
-        (rational_ops(((1.0, -1.0), ZERO, ONE), (ZERO, ZERO, ONE)), -1.0, 0.3, 2 * block + 1),
+        (rational_ops(((1.0, -1.0), ZERO, ONE), (ZERO, ZERO, ONE)), -1.0, 0.3, samples),
         (operand_matrices(rig_d), 4800.0, -4800.0, 200_001),
     ]
-    for ops, y_lo, y_hi, samples in cases:
-        assert_block_bounds_hold(ops, y_lo, y_hi, samples)
-    # (y - v)² + 1 with v inside block 1 of the grid 3·block, 3·block - 1, ..., 0: its
-    # least sample reads 1.0625, and its end samples about 0.25·block²
-    v = 1.5 * block + 0.25
+    for ops, y_lo, y_hi, count in cases:
+        assert_chunk_bounds_hold(ops, y_lo, y_hi, count)
+    # (y - v)² + 1 with v inside chunk 1 of the grid 9·chunk, 9·chunk - 1, ..., 0: its
+    # least sample reads 1.0625, and its end samples about 0.25·chunk²
+    v = 7.5 * chunk + 0.25
     ops = rational_ops(((1.0, -v), ONE, ONE), (ZERO, ZERO, ONE))
-    bounds = assert_block_bounds_hold(ops, 3.0 * block, 0.0, 3 * block + 1)
+    bounds = assert_chunk_bounds_hold(ops, 9.0 * chunk, 0.0, samples)
     assert 0.99 < bounds[1] <= 1.0625 < bounds[0]
-    # 1/(y - p)² with p inside block 1: |1/(y - p)| grows toward p from both ends, so
-    # block 1 is bounded by about 1/(block/2)², not by 0
-    p = 1.5 * block + 0.25
+    # 1/(y - p)² with p inside chunk 1: |1/(y - p)| grows toward p from both ends, so
+    # chunk 1 is bounded by about 1/(chunk/2)², not by 0
+    p = 1.5 * chunk + 0.25
     ops = rational_ops((ONE, ZERO, (1.0, -p)), (ZERO, ZERO, ONE))
-    bounds = assert_block_bounds_hold(ops, 0.0, 3.0 * block, 3 * block + 1)
-    assert 0.99 / (0.5 * block + 1.0) ** 2 < bounds[1]
+    bounds = assert_chunk_bounds_hold(ops, 0.0, 9.0 * chunk, samples)
+    assert 0.99 / (0.5 * chunk + 1.0) ** 2 < bounds[1]
 
 
 def test_scan_memory_does_not_grow_with_the_sample_count(rig_d):
