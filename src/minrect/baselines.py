@@ -175,8 +175,8 @@ def default_pd_builder(rig: StereoRig) -> tuple[np.ndarray, np.ndarray]:
 
     Image 1 uses the epipole cross-product parametrisation, image 2 the
     fundamental-matrix transfer; both are restricted to the first two
-    coordinates of the shared parameter.  This is a stand-in for the prior
-    method's unpublished construction and is labelled as such in reports.
+    coordinates of the shared parameter.  This is a stand-in for Loop & Zhang's
+    initial-guess forms (CVPR 1999, section 5) and is labelled as such in reports.
     """
     F = fundamental_matrix(rig)
     e1, _ = epipoles(rig)
@@ -238,8 +238,8 @@ class StressReport:
         """The fields in order, each failure as a list, then two derived entries."""
         return {**asdict(self), "failures": [list(f) for f in self.failures],
                 "pd_failure_fraction": self.pd_failures / self.trials if self.trials else 0.0,
-                "pd_probe_note": "default builder approximates the prior method's "
-                                 "unpublished forms; fractions are indicative only"}
+                "pd_probe_note": "default builder is a stand-in for Loop & Zhang's "
+                                 "initial-guess forms; fractions are indicative only"}
 
 
 def stress(trials: int, seed: int) -> StressReport:

@@ -29,15 +29,19 @@ def _format_distortion(value: float) -> str:
 
 def _cmd_rectify(args) -> int:
     rig = load_calibration(args.calibration)
+    if args.dump_quartic:  # first, so that it also explains a rig that assemble refuses
+        try:
+            problem = quartic_coefficients(operand_matrices(rig))
+            roots = solve_quartic(problem)
+        except MinrectError:
+            pass  # assemble raises it again below, under its stage label
+        else:
+            print(serialize.dumps({
+                "m": list(problem.m),
+                "coeffs": list(problem.coeffs),
+                "roots": list(roots.roots),
+            }))
     pair = assemble(rig)
-    if args.dump_quartic:
-        problem = quartic_coefficients(operand_matrices(rig))
-        roots = solve_quartic(problem)
-        print(serialize.dumps({
-            "m": list(problem.m),
-            "coeffs": list(problem.coeffs),
-            "roots": list(roots.roots),
-        }))
     serialize.write_json(args.output, serialize.rectified_pair_to_dict(pair))
     print(f"y1 {format(pair.y1_star, '.17g')}")
     print(f"distortion {_format_distortion(pair.distortion)}")

@@ -6,7 +6,9 @@ Rayleigh quotients.  ppt is diag(s_x, s_y, 0), so each quotient is
 s_x·(ℓ_x/g)² + s_y·(ℓ_y/g)², with ℓ_x and ℓ_y the first two entries of w and
 g = p_bar^T w, p_bar the average pixel.  With the horizon parametrised by its
 y-intercept on image 1, w_i = L_i (0, y, 1), so ℓ_x, ℓ_y and g are linear in
-that single scalar, and the metric has its poles where a g vanishes.
+that single scalar, and the metric has its poles where a g vanishes.  The
+operands are those linear forms, L_i and the pixel-grid moments; the quadratic
+forms of the quartic are built from them in ``quartic``.
 """
 from __future__ import annotations
 
@@ -63,14 +65,11 @@ def _linear_terms(ops: DistortionOperands) -> tuple:
 
 @dataclass(frozen=True)
 class DistortionOperands:
-    """Matrices reducing the metric to a function of the horizon intercept."""
+    """The linear forms that reduce the metric to a function of the horizon intercept:
+    w_i = L_i (0, y, 1), scored with the moments of image i."""
 
     L1: np.ndarray
     L2: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
     moments1: MomentMatrices
     moments2: MomentMatrices
 
@@ -78,26 +77,17 @@ class DistortionOperands:
     terms = cached_property(_linear_terms)
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return read_only((M + M.T) / 2.0)
-
-
 def operand_matrices(rig: StereoRig) -> DistortionOperands:
-    """Build L, M and C matrices for a rig."""
+    """The linear forms L_i of a rig, with the moments of each image."""
     P1inv = rig.cam1.projection_inv
     P2inv = rig.cam2.projection_inv
     x_hat = rig.x_hat
     ortho = np.eye(3) - np.outer(x_hat, x_hat)
     L1 = P1inv.T @ ortho @ P1inv
     L2 = P2inv.T @ ortho @ P1inv
-    mom1 = moment_matrices(rig.cam1.width, rig.cam1.height)
-    mom2 = moment_matrices(rig.cam2.width, rig.cam2.height)
-    M1 = _sym(L1.T @ mom1.ppt @ L1)
-    M2 = _sym(L2.T @ mom2.ppt @ L2)
-    C1 = _sym(L1.T @ mom1.pcpct @ L1)
-    C2 = _sym(L2.T @ mom2.pcpct @ L2)
-    return DistortionOperands(L1=read_only(L1), L2=read_only(L2), M1=M1, M2=M2, C1=C1, C2=C2,
-                              moments1=mom1, moments2=mom2)
+    return DistortionOperands(L1=read_only(L1), L2=read_only(L2),
+                              moments1=moment_matrices(rig.cam1.width, rig.cam1.height),
+                              moments2=moment_matrices(rig.cam2.width, rig.cam2.height))
 
 
 def w_from_y_raw(ops: DistortionOperands, y1: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Closed-form stationary points of the distortion function.
 
 The derivative of the two-term rational metric reduces to a quartic in the
-horizon intercept, with coefficients built from eight intermediates of the M
-and C matrices.  The solver trims leading coefficients that are negligible at
-the root scale of the rest, applies the radical formula of the degree left
-(in complex arithmetic) and Newton-polishes the roots; a constant has none.
+horizon intercept, with coefficients built from eight intermediates of the
+quadratic forms M_i = L_i^T·ppt·L_i and C_i = L_i^T·p_bar·p_bar^T·L_i, which
+``quartic_coefficients`` builds from the operands' linear forms L_i.  The
+solver trims leading coefficients that are negligible at the root scale of
+the rest, applies the radical formula of the degree left (in complex
+arithmetic) and Newton-polishes the roots; a constant has none.
 """
 from __future__ import annotations
 
@@ -45,9 +47,12 @@ class RootSet:
 
 
 def quartic_coefficients(ops: DistortionOperands) -> QuarticProblem:
-    """Build m1..m8 and the quartic coefficients from the operand matrices."""
-    # Python floats, in the order of the numpy-scalar formulas and to their bits
-    M1, M2, C1, C2 = ops.M1.tolist(), ops.M2.tolist(), ops.C1.tolist(), ops.C2.tolist()
+    """Build M_i and C_i, then m1..m8 and the quartic coefficients, from the operands."""
+    # each form symmetrised, then Python floats, in the order of the numpy-scalar
+    # formulas and to their bits
+    forms = [L.T @ X @ L for L, mom in ((ops.L1, ops.moments1), (ops.L2, ops.moments2))
+             for X in (mom.ppt, mom.pcpct)]
+    M1, C1, M2, C2 = (((F + F.T) / 2.0).tolist() for F in forms)
     for name, C in (("C1", C1), ("C2", C2)):
         if C[1][1] == 0.0:
             raise DegenerateC(f"[{name}]_22 is zero; intermediates undefined")

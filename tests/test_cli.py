@@ -87,6 +87,38 @@ def test_rectify_dump_quartic_matches_golden(tmp_path, rig_d_path, capsysbinary)
         assert capsysbinary.readouterr().out == f.read()
 
 
+def test_rectify_dump_quartic_explains_a_rig_without_real_roots(tmp_path, capsys):
+    """``stress --seed 1`` trial 1374: the quartic has no real root, so assemble stops at
+    minimum-selection; the dump is still printed, and no output file is written."""
+    rng = np.random.default_rng(1)
+    for _ in range(1375):
+        rig = baselines.random_rig(rng)
+    out = str(tmp_path / "rect.json")
+    assert main(["rectify", write_rig(tmp_path, rig), "-o", out, "--dump-quartic"]) == 3
+    printed = capsys.readouterr()
+    (line,) = printed.out.splitlines()
+    dump = json.loads(line)
+    assert dump["roots"] == [] and len(dump["m"]) == 8 and len(dump["coeffs"]) == 5
+    assert "minimum-selection" in printed.err
+    assert not os.path.exists(out)
+
+
+def test_dump_quartic_refused_at_the_coefficients_fails_as_without_it(tmp_path, capsys):
+    """A rig whose [C_i]_22 is exactly 0 has no quartic to dump: the command prints the
+    same stage-labelled error as without the flag, and nothing on stdout."""
+    A = np.array([[512.0, 0.0, 320.0], [0.0, 512.0, 240.0], [0.0, 0.0, 1.0]])
+    cam1 = make_camera(A, np.eye(3), (0.0, 0.0, 0.0), 641, 481)
+    cam2 = make_camera(A, np.eye(3), (1.0, 0.0, 0.0), 641, 481)
+    calib, out = write_rig(tmp_path, StereoRig(cam1, cam2)), str(tmp_path / "rect.json")
+    printed = []
+    for flags in ([], ["--dump-quartic"]):
+        assert main(["rectify", calib, "-o", out, *flags]) == 3
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[1].out == "" and "quartic-coefficients" in printed[1].err
+    assert not os.path.exists(out)
+
+
 def test_evaluate_y1_matches_rectify(tmp_path, rig_d_path, capsys):
     out = str(tmp_path / "rect.json")
     main(["rectify", rig_d_path, "-o", out])

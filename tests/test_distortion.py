@@ -89,20 +89,12 @@ def test_operand_axis_projector():
     assert np.allclose(ops.L1, np.diag([0.0, 1.0, 1.0]))
 
 
-def test_operand_sandwich_identity(rig_d):
-    ops = operand_matrices(rig_d)
-    M1 = ops.L1.T @ ops.moments1.ppt @ ops.L1
-    C2 = ops.L2.T @ ops.moments2.pcpct @ ops.L2
-    assert np.allclose(ops.M1, M1, atol=1e-12 * abs(M1).max())
-    assert np.allclose(ops.C2, C2, atol=1e-12 * abs(C2).max())
-
-
-def test_operand_symmetry_and_psd(rig_d):
-    ops = operand_matrices(rig_d)
-    for M in (ops.M1, ops.M2, ops.C1, ops.C2):
-        assert np.allclose(M, M.T, rtol=1e-10)
-    for C in (ops.C1, ops.C2):
-        assert np.linalg.eigvalsh(C).min() >= -1e-9 * np.trace(C)
+def quadratic_forms(ops):
+    """M1, C1, M2, C2: each L_i^T·X·L_i, X the ppt or p_bar·p_bar^T of image i, symmetrised
+    as (F + F^T)/2, the expression ``quartic_coefficients`` builds them with."""
+    forms = [L.T @ X @ L for L, mom in ((ops.L1, ops.moments1), (ops.L2, ops.moments2))
+             for X in (mom.ppt, mom.pcpct)]
+    return tuple((F + F.T) / 2.0 for F in forms)
 
 
 def test_w_matches_geometric_path(rig_d):
@@ -231,8 +223,9 @@ def test_distortion_rational_form(rig_d):
         g = (C[1, 1], 2.0 * C[1, 2], C[2, 2])
         return np.poly1d(f), np.poly1d(g)
 
-    f1, g1 = term_polys(ops.M1, ops.C1)
-    f2, g2 = term_polys(ops.M2, ops.C2)
+    M1, C1, M2, C2 = quadratic_forms(ops)
+    f1, g1 = term_polys(M1, C1)
+    f2, g2 = term_polys(M2, C2)
     rng = np.random.default_rng(17)
     for y in rng.uniform(-300, 700, size=100):
         expected = f1(y) / g1(y) + f2(y) / g2(y)
@@ -414,13 +407,10 @@ def rational_ops(term1, term2):
     """Operands whose metric is (ℓ_x² + ℓ_y²)/g² summed over two terms, each a triple
     (ℓ_x, ℓ_y, g) of pairs (c₁, c₀), the linear form c₁·y + c₀. The image is 2x2 with its
     pixel centres at (±1/2, ±1/2), so s_x = s_y = 1 and p_bar = (0, 0, 1). Rows 0, 1 and 2
-    of L_i are (0, c₁, c₀) of ℓ_x, ℓ_y and g; M_i and C_i are L_i^T·ppt·L_i and
-    L_i^T·p_bar·p_bar^T·L_i."""
+    of L_i are (0, c₁, c₀) of ℓ_x, ℓ_y and g."""
     m = MomentMatrices(ppt=moment_matrices(2, 2).ppt, pcpct=np.diag([0.0, 0.0, 1.0]))
     L1, L2 = (np.array([[0.0, *lx], [0.0, *ly], [0.0, *g]]) for lx, ly, g in (term1, term2))
-    with np.errstate(over="ignore", invalid="ignore"):  # the metric does not read M_i or C_i
-        M1, M2, C1, C2 = (L.T @ mom @ L for mom in (m.ppt, m.pcpct) for L in (L1, L2))
-    return DistortionOperands(L1=L1, L2=L2, M1=M1, M2=M2, C1=C1, C2=C2, moments1=m, moments2=m)
+    return DistortionOperands(L1=L1, L2=L2, moments1=m, moments2=m)
 
 
 # the linear forms y, 1 and 0, as coefficients (y, 1)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minrect.distortion import (DistortionOperands, distortion_of_y, distortion_of_y_many,
-                                moment_matrices, operand_matrices, poles)
+from minrect.distortion import (DistortionOperands, MomentMatrices, distortion_of_y,
+                                distortion_of_y_many, operand_matrices, poles)
 from minrect.errors import (AllCoefficientsZero, DegenerateC, InvalidArgument, NoAdmissibleRoot,
                             PipelineError, PoleAtY)
 from minrect.quartic import (
@@ -33,7 +33,7 @@ from minrect.geometry import StereoRig
 from minrect.rectify import assemble
 from test_acceptance import scan_gap
 from test_distortion import (ONE, Y, ZERO, exact_metric, near_pole_samples, pi2_ops,
-                             rational_ops)
+                             quadratic_forms, rational_ops)
 from test_small_c22 import two_cameras
 
 
@@ -120,8 +120,9 @@ def test_quartic_sign_matches_expanded_derivative(rig_d):
         g = np.poly1d((C[1, 1], 2.0 * C[1, 2], C[2, 2]))
         return f, g
 
-    f1, g1 = polys(ops.M1, ops.C1)
-    f2, g2 = polys(ops.M2, ops.C2)
+    M1, C1, M2, C2 = quadratic_forms(ops)
+    f1, g1 = polys(M1, C1)
+    f2, g2 = polys(M2, C2)
     # d/dy [f/g] = (f' g - f g') / g^2; common positive denominator (g1 g2)^2
     n1 = (f1.deriv() * g1 - f1 * g1.deriv()) * (g2 * g2)
     n2 = (f2.deriv() * g2 - f2 * g2.deriv()) * (g1 * g1)
@@ -576,15 +577,16 @@ def test_solver_matches_reference_bit_for_bit():
 
 
 def quadratic_form_ops(num1, den1, num2, den2):
-    """Operands for ``quartic_coefficients``, which reads only M_i and C_i: each a
-    coefficient triple (y², y, 1) of a quadratic form, C_i of any rank. Their metric
-    is not read, so L_i is left at the identity."""
+    """Operands whose forms M_i and C_i, the only ones ``quartic_coefficients`` builds, are
+    the given ones: each a coefficient triple (y², y, 1) of a quadratic form, C_i of any
+    rank, passed as the moments ppt and p_bar·p_bar^T of image i with L_i the identity,
+    so that (F + F^T)/2 of I^T·X·I is X. Their metric is not read."""
     def form(a, b, c):
         return np.array([[0.0, 0.0, 0.0], [0.0, a, b / 2.0], [0.0, b / 2.0, c]])
 
-    m = moment_matrices(2, 2)
-    return DistortionOperands(L1=np.eye(3), L2=np.eye(3), M1=form(*num1), M2=form(*num2),
-                              C1=form(*den1), C2=form(*den2), moments1=m, moments2=m)
+    m1, m2 = (MomentMatrices(ppt=form(*num), pcpct=form(*den))
+              for num, den in ((num1, den1), (num2, den2)))
+    return DistortionOperands(L1=np.eye(3), L2=np.eye(3), moments1=m1, moments2=m2)
 
 
 def cancelling_ops(rng):
@@ -631,8 +633,8 @@ def test_degree_trim_drops_a_lead_exactly_at_the_bound():
 def reference_coefficients(ops):
     """m1..m8 and the coefficients in np.float64 scalar arithmetic, the form
     quartic_coefficients had before it ran on Python floats."""
-    M1, M2, C1, C2 = ops.M1, ops.M2, ops.C1, ops.C2
     with np.errstate(all="ignore"):
+        M1, C1, M2, C2 = quadratic_forms(ops)
         m1 = M1[1, 2] * C1[1, 2] - M1[2, 2] * C1[1, 1]
         m2 = M1[1, 1] * C1[1, 2] - M1[1, 2] * C1[1, 1]
         m3 = C2[1, 2] / C2[1, 1]

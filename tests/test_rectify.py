@@ -8,9 +8,11 @@ import pytest
 
 from minrect.baselines import SCAN_GAP_LIMIT, fusiello_rectify, random_rig
 from minrect.distortion import distortion_of_y, operand_matrices, w_from_y
-from minrect.errors import CollapsedMidlines, DegenerateZ, PipelineError
+from minrect.errors import CollapsedMidlines, DegenerateZ, MinrectError, PipelineError
 from minrect.geometry import StereoRig, fundamental_matrix, epipoles, normalize_matrix, project
+from minrect.quartic import quartic_coefficients, select_minimum, solve_quartic
 from minrect.rectify import (
+    RectifiedPair,
     _corners,
     _map_points,
     assemble,
@@ -57,8 +59,6 @@ def test_orientation_x_axis_is_baseline(rig_d):
 
 def test_orientation_third_row_matches_w(rig_d):
     ops = operand_matrices(rig_d)
-    from minrect.quartic import quartic_coefficients, select_minimum, solve_quartic
-
     problem = quartic_coefficients(ops)
     y_star, _ = select_minimum(ops, problem, solve_quartic(problem))
     R = new_orientation(rig_d, y_star)
@@ -246,6 +246,53 @@ def test_assemble_random_rigs_form_and_alignment():
             q1 = pair.H1 @ (p1 / p1[2])
             q2 = pair.H2 @ (p2 / p2[2])
             assert abs(q1[1] / q1[2] - q2[1] / q2[2]) <= 1e-6
+
+
+def run_stages(rig):
+    """The six public stages of ``assemble`` called in turn; (stage, error class) where
+    one raises, labelled as ``assemble`` labels it."""
+    stage = "operands"
+    try:
+        ops = operand_matrices(rig)
+        stage = "quartic-coefficients"
+        problem = quartic_coefficients(ops)
+        stage = "quartic-roots"
+        roots = solve_quartic(problem)
+        stage = "minimum-selection"
+        y1, dist = select_minimum(ops, problem, roots)
+        stage = "orientation"
+        Rnew = new_orientation(rig, y1)
+        stage = None  # complete_homographies labels its own stages
+        return complete_homographies(rig, Rnew, y1, dist)
+    except PipelineError as exc:
+        return exc.stage, type(exc.cause)
+    except MinrectError as exc:
+        return stage, type(exc)
+
+
+def test_stages_compose_to_assemble_bit_for_bit(rig_d, frontoparallel):
+    """rig_d, the frontoparallel rig, a rig refused at quartic-coefficients ([C_i]_22 is
+    exactly 0) and 100 draws of random_rig(default_rng(5), pi/2): the stages give
+    assemble's H1 and H2 bytes, y1*, distortion and canvas, or its error at its stage."""
+    A = np.array([[512.0, 0.0, 320.0], [0.0, 512.0, 240.0], [0.0, 0.0, 1.0]])
+    refused = StereoRig(make_camera(A, np.eye(3), (0.0, 0.0, 0.0), 641, 481),
+                        make_camera(A, np.eye(3), (1.0, 0.0, 0.0), 641, 481))
+    rng = np.random.default_rng(5)
+    rigs = [rig_d, frontoparallel, refused] + [random_rig(rng, math.pi / 2) for _ in range(100)]
+    raised = []
+    for k, rig in enumerate(rigs):
+        got = run_stages(rig)
+        try:
+            pair = assemble(rig)
+        except PipelineError as exc:
+            assert got == (exc.stage, type(exc.cause)), k
+            raised.append(k)
+            continue
+        assert isinstance(got, RectifiedPair), (k, got)
+        assert got.H1.tobytes() == pair.H1.tobytes() and got.H2.tobytes() == pair.H2.tobytes()
+        assert (got.y1_star, got.distortion) == (pair.y1_star, pair.distortion), k
+        assert got.output_size == pair.output_size, k
+    assert raised == [2]
 
 
 # --- camera swap --------------------------------------------------------------

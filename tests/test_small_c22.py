@@ -16,14 +16,15 @@ import pytest
 from minrect import serialize
 from minrect.cli import main
 from minrect.baselines import scan_minimize
-from minrect.distortion import distortion_of_y, distortion_of_y_many, operand_matrices, poles
+from minrect.distortion import (MomentMatrices, distortion_of_y, distortion_of_y_many,
+                                operand_matrices, poles)
 from minrect.errors import DegenerateC, PipelineError
 from minrect.geometry import Camera, StereoRig, rig_to_dict, rotation
 from minrect.quartic import quartic_coefficients
 from minrect.rectify import assemble
 
 from test_acceptance import alignment_residual, scan_gap
-from test_distortion import assert_same_as_reference
+from test_distortion import assert_same_as_reference, quadratic_forms
 from test_rectify import rectified_residual
 
 A_800 = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
@@ -151,14 +152,17 @@ def test_y_independent_denominators_match_the_whole_array_reference():
 
 
 def test_overflowing_coefficients_raise_without_warning(rig_d):
-    """A subnormal [C_1]_22 overflows the intermediates: DegenerateC, not inf."""
+    """A subnormal [C_1]_22 overflows the intermediates: DegenerateC, not inf. Image 1's
+    forms are passed as its moments under L_1 = I, which ``quartic_coefficients`` returns
+    unchanged as M_1 and C_1."""
     ops = operand_matrices(rig_d)
-    C1 = np.array(ops.C1)
+    M1, C1, _, _ = quadratic_forms(ops)
     C1[1, 1] = 5e-324
+    ops = dataclasses.replace(ops, L1=np.eye(3), moments1=MomentMatrices(ppt=M1, pcpct=C1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateC, match="not finite"):
-            quartic_coefficients(dataclasses.replace(ops, C1=C1))
+            quartic_coefficients(ops)
 
 
 def test_cli_rectifies_the_rectified_head(tmp_path, capsys):
