@@ -21,8 +21,9 @@ from .distortion import (
     moment_matrices,
     operand_matrices,
 )
-from .errors import DegenerateOrientation, DegenerateZ, EmptyDomain, InvalidArgument, MinrectError
-from .geometry import Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix, rotation
+from .errors import EmptyDomain, InvalidArgument, MinrectError
+from .geometry import (Camera, StereoRig, cross_matrix, epipoles, fundamental_matrix,
+                       int_at_least, rotation)
 from .rectify import RectifiedPair, assemble, complete_homographies, orientation
 
 DEFAULT_INTRINSICS = np.array([[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]])
@@ -33,10 +34,7 @@ SCAN_GAP_LIMIT = 1e-9  # relative excess of the closed form over the scan that c
 
 def fusiello_rectify(rig: StereoRig) -> RectifiedPair:
     """Baseline: rectifying plane fixed by camera 1's old optical axis."""
-    try:
-        Rnew = orientation(rig, rig.cam1.axis)
-    except DegenerateZ as exc:
-        raise DegenerateOrientation("camera-1 axis is parallel to the baseline") from exc
+    Rnew = orientation(rig, rig.cam1.axis)
     w1 = Rnew[2, :] @ rig.cam1.projection_inv
     w2 = Rnew[2, :] @ rig.cam2.projection_inv
     dist = distortion_of_w(w1, w2, moment_matrices(rig.cam1.width, rig.cam1.height),
@@ -92,8 +90,7 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     the dense scan's bits. The interval between that sample's neighbours is re-scanned
     with 1001 samples until it is within 1e-10 * (1 + |lo| + |hi|); the last best sample
     and its value are returned."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1001:
-        raise InvalidArgument(f"samples must be an integer of at least 1001, got {samples!r}")
+    samples = int_at_least(samples, 1001, "samples must be an integer of at least 1001")
     try:
         lo, hi = float(y_lo), float(y_hi)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -101,7 +98,6 @@ def scan_minimize(ops: DistortionOperands, y_lo: float, y_hi: float,
     if not math.isfinite(hi - lo):  # also NaN or inf if either bound is
         raise InvalidArgument(f"scan bounds must be finite with a finite span, "
                               f"got {y_lo!r}, {y_hi!r}")
-    samples = int(samples)  # so that sample arithmetic runs on Python ints and floats: no warning
     counts = np.arange(min(samples, _BLOCK), dtype=float)
     ys, vals, buffers = np.empty_like(counts), np.empty_like(counts), np.empty((3, counts.size))
 
@@ -245,8 +241,8 @@ class StressReport:
 def stress(trials: int, seed: int) -> StressReport:
     """Run direct, baseline, scan oracle and PD probe on random rigs; a closed
     form above the scan by more than ``SCAN_GAP_LIMIT`` is a "scan-gap" failure."""
-    if trials < 1 or seed < 0:
-        raise InvalidArgument(f"trials must be >= 1 and seed >= 0, got {trials} and {seed}")
+    trials = int_at_least(trials, 1, "trials must be an integer >= 1")
+    seed = int_at_least(seed, 0, "seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     report = StressReport(trials=trials, seed=seed)
     ratios, gaps = [], []

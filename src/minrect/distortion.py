@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadDimensions, DegenerateCenter, InvalidArgument, PoleAtY
-from .geometry import StereoRig, read_only
+from .errors import DegenerateCenter, InvalidArgument, PoleAtY
+from .geometry import IMAGE_SIZE, StereoRig, int_at_least, read_only
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class MomentMatrices:
 def moment_matrices(width: int, height: int) -> MomentMatrices:
     """Closed-form pixel-grid moments for a width x height image; the result is
     read-only, so one object per size is shared by every caller."""
-    if width < 2 or height < 2:
-        raise BadDimensions("image must be at least 2x2 pixels")
-    w, h = float(width), float(height)
+    w, h = (float(int_at_least(v, 2, IMAGE_SIZE)) for v in (width, height))
     ppt = (w * h / 12.0) * np.diag([w * w - 1.0, h * h - 1.0, 0.0])
     v = np.array([(w - 1.0) / 2.0, (h - 1.0) / 2.0, 1.0])
     return MomentMatrices(ppt=read_only(ppt), pcpct=read_only(np.outer(v, v)))
@@ -128,8 +126,7 @@ def distortion_of_w(w1, w2, m1: MomentMatrices, m2: MomentMatrices) -> float:
 
 def pixel_sum_distortion(w, width: int, height: int) -> float:
     """Reference oracle: explicit squared sum over every pixel of one image."""
-    if width < 2 or height < 2:
-        raise BadDimensions("image must be at least 2x2 pixels")
+    width, height = (int_at_least(v, 2, IMAGE_SIZE) for v in (width, height))
     w = np.asarray(w, dtype=float)
     pc = np.array([(width - 1) / 2.0, (height - 1) / 2.0, 1.0])
     den = float(w @ pc)

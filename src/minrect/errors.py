@@ -26,10 +26,6 @@ class SingularProjection(MinrectError):
     """A*R is not invertible within the conditioning bound."""
 
 
-class BadDimensions(MinrectError):
-    """Image dimensions below the 2x2 minimum."""
-
-
 class PoleAtY(MinrectError):
     """y-intercept at a pole of the metric, or where a perspective row has third component 0."""
 
@@ -51,7 +47,7 @@ class NoAdmissibleRoot(MinrectError):
 
 
 class DegenerateZ(MinrectError):
-    """The horizon ray is parallel to the baseline."""
+    """The direction that fixes the rectifying plane is parallel to the baseline."""
 
 
 class CollapsedMidlines(MinrectError):
@@ -61,10 +57,6 @@ class CollapsedMidlines(MinrectError):
 
 class SingularHomography(MinrectError):
     """Homography is not invertible."""
-
-
-class DegenerateOrientation(MinrectError):
-    """Reference camera axis is parallel to the baseline."""
 
 
 class EmptyDomain(MinrectError):

@@ -14,9 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCalibration, InvalidCamera, InvalidRig, SingularProjection
+from .errors import (InvalidArgument, InvalidCalibration, InvalidCamera, InvalidRig,
+                     SingularProjection)
 
 COND_LIMIT = 1e12
+IMAGE_SIZE = "width and height must be integers, the image at least 2x2 pixels"
 _ORTHO_TOL = 1e-9
 
 
@@ -24,6 +26,14 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` immutable and return it."""
     arr.setflags(write=False)
     return arr
+
+
+def int_at_least(value, minimum: int, what: str, error: type = InvalidArgument) -> int:
+    """``int(value)`` for a Python or numpy integer, not a bool, of at least ``minimum``;
+    otherwise ``error`` with the message ``what`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{what}, got {value!r}")
+    return int(value)
 
 
 def _freeze(obj, name, value):
@@ -58,13 +68,9 @@ class Camera:
             raise InvalidCamera("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
             raise InvalidCamera("rotation determinant must be +1")
-        size = self.width, self.height
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in size):
-            raise InvalidCamera(f"width and height must be integers, got {size!r}")
-        if size[0] < 2 or size[1] < 2:
-            raise InvalidCamera("image must be at least 2x2 pixels")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
+        for name in ("width", "height"):
+            size = int_at_least(getattr(self, name), 2, IMAGE_SIZE, InvalidCamera)
+            object.__setattr__(self, name, size)
 
     @property
     def projection(self) -> np.ndarray:

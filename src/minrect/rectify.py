@@ -48,7 +48,7 @@ def orientation(rig: StereoRig, direction: np.ndarray) -> np.ndarray:
     z = direction - x_hat * float(x_hat @ direction)
     nz = np.linalg.norm(z)
     if nz <= 1e-12:
-        raise DegenerateZ("horizon ray is parallel to the baseline")
+        raise DegenerateZ("the direction is parallel to the baseline")
     z_hat = z / nz
     if float(z_hat @ rig.cam1.axis) < 0.0:
         z_hat = -z_hat

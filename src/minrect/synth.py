@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .geometry import Camera, StereoRig, project, rotation
+from .geometry import Camera, StereoRig, int_at_least, project, rotation
 from .warp import ImageBuffer, from_array, source_coords
 
 PLANE_Z = 5.0
@@ -24,9 +23,7 @@ _MARKER_YS = np.arange(-1.2, 1.6, MARKER_STEP)
 
 def synth_rig(seed: int) -> StereoRig:
     """A mildly verging rig with pose jitter drawn from the seed (>= 0)."""
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int_at_least(seed, 0, "seed must be an integer >= 0"))
     A = np.array([[600.0, 0.0, 320.0], [0.0, 600.0, 240.0], [0.0, 0.0, 1.0]])
     cam1 = Camera(A=A, R=np.eye(3), t=np.zeros(3), width=640, height=480)
     yaw = -0.14 + rng.uniform(-0.02, 0.02)

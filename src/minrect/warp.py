@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvalidCalibration, MalformedHeader, SingularHomography,
                      UnsupportedMaxval)
-from .geometry import read_only
+from .geometry import int_at_least, read_only
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ def source_coords(Hinv: np.ndarray, width: int, height: int, first_row: int = 0)
 
 MAX_OUTPUT_PIXELS = 1 << 26  # 8192 x 8192: the largest canvas a map is built for
 _BLOCK_PIXELS = 1 << 15  # output pixels per block in RectifyMap.build and apply
+_CANVAS = f"output size must be two positive integers of at most {MAX_OUTPUT_PIXELS} pixels"
 
 
 def _gather_rows(Hinv: np.ndarray, src_w: int, src_h: int, out_w: int, r0: int,
@@ -88,11 +89,9 @@ def _join(parts: list) -> np.ndarray:
 
 def _check_canvas(out_w, out_h) -> None:
     """Refuse sizes that are not positive integers or exceed ``MAX_OUTPUT_PIXELS`` in all."""
-    if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-                for v in (out_w, out_h))
-            or int(out_w) * int(out_h) > MAX_OUTPUT_PIXELS):
-        raise InvalidCalibration(f"output size {out_w!r}x{out_h!r} is not two positive "
-                                 f"integers of at most {MAX_OUTPUT_PIXELS} pixels")
+    w, h = (int_at_least(v, 1, _CANVAS, InvalidCalibration) for v in (out_w, out_h))
+    if w * h > MAX_OUTPUT_PIXELS:
+        raise InvalidCalibration(f"{_CANVAS}, got {out_w!r}x{out_h!r}")
 
 
 def _gather(views: list, idx: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Comparison baseline, dense-scan oracle, degenerate family, stress harness."""
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,7 @@ from minrect.baselines import (
 )
 from minrect import baselines, distortion
 from minrect.distortion import distortion_of_w, moment_matrices, operand_matrices, poles
-from minrect.errors import DegenerateOrientation, EmptyDomain, InvalidArgument, MinrectError
+from minrect.errors import DegenerateZ, EmptyDomain, InvalidArgument, MinrectError
 from minrect.geometry import StereoRig, fundamental_matrix, normalize_matrix, optical_center
 from minrect.rectify import assemble, orientation
 from minrect import serialize
@@ -78,7 +79,7 @@ def test_fusiello_rejects_axis_along_baseline():
 
     rig = StereoRig(cam1=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 0.0)),
                     cam2=make_camera(A_LEFT, np.eye(3), (0.0, 0.0, 1.0)))
-    with pytest.raises(DegenerateOrientation, match="parallel to the baseline"):
+    with pytest.raises(DegenerateZ, match="parallel to the baseline"):
         fusiello_rectify(rig)
 
 
@@ -148,7 +149,7 @@ def assert_scan_same_as_reference(ops, y_lo, y_hi, samples=200_001):
 
 def test_scan_matches_reference_on_seeded_rigs():
     rng = np.random.default_rng(3)
-    for rig in [random_rig(rng, max_angle=math.pi / 2) for _ in range(20)] + fault_rigs():
+    for rig in [random_rig(rng, max_angle=math.pi / 2) for _ in range(20)] + list(fault_rigs()):
         h = rig.cam1.height
         assert_scan_same_as_reference(operand_matrices(rig), -10.0 * h, 10.0 * h)
 
@@ -384,9 +385,11 @@ def linspace_scan(ops, y_lo, y_hi, samples=200_001):
         samples = 1001
 
 
-def fault_rigs():
-    """The already-rectified head ([C_i]_22 = 0) and the draws of
-    random_rig(default_rng(5), pi/2) on which the closed form fails or misses."""
+@functools.cache
+def fault_rigs() -> tuple:
+    """The already-rectified head ([C_i]_22 = 0: neither term's g depends on y) and draws
+    1962, 2087, 396 and 2821 of random_rig(default_rng(5), pi/2). The closed form rectifies
+    all five; it misses the scan minimum on 396 and 2821 (F2, two close poles)."""
     from conftest import make_camera
 
     A = np.array([[600.0, 0.0, 319.5], [0.0, 600.0, 239.5], [0.0, 0.0, 1.0]])
@@ -394,7 +397,7 @@ def fault_rigs():
                      make_camera(A, np.eye(3), (1.0, 0.0, 0.0)))
     rng = np.random.default_rng(5)
     drawn = [random_rig(rng, max_angle=math.pi / 2) for _ in range(2822)]
-    return [head] + [drawn[k] for k in (1962, 2087, 396, 2821)]
+    return (head, *(drawn[k] for k in (1962, 2087, 396, 2821)))
 
 
 def test_scan_grid_matches_a_whole_linspace_scan():
@@ -405,7 +408,7 @@ def test_scan_grid_matches_a_whole_linspace_scan():
     spans = ((-9600.0, -1.0), (-4800.0, 4800.0), (1e6 - 5e-7, 1e6 + 5e-7), (240.0, 240.0),
              (0.0, 2e-321), (4800.0, -4800.0))
     rng = np.random.default_rng(29)
-    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(50)] + fault_rigs()
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(50)] + list(fault_rigs())
     for rig in rigs:
         ops = operand_matrices(rig)
         for lo, hi in spans:
@@ -530,7 +533,7 @@ def assert_chunk_bounds_hold(ops, lo, hi, samples):
 
 def test_chunk_bounds_hold_on_seeded_rigs_and_fault_rigs():
     rng = np.random.default_rng(41)
-    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(300)] + fault_rigs()
+    rigs = [random_rig(rng, max_angle=math.pi / 2) for _ in range(300)] + list(fault_rigs())
     positive = 0
     for k, rig in enumerate(rigs):
         h = rig.cam1.height

@@ -23,8 +23,7 @@ from minrect.distortion import (
     w_from_y,
     w_from_y_raw,
 )
-from minrect.errors import (BadDimensions, DegenerateCenter, InvalidArgument, MinrectError,
-                            PoleAtY)
+from minrect.errors import DegenerateCenter, InvalidArgument, MinrectError, PoleAtY
 from minrect.geometry import Camera, StereoRig
 from minrect.rectify import assemble
 
@@ -57,7 +56,7 @@ def test_moment_matches_grid_sums():
 
 
 def test_moment_rejects_tiny():
-    with pytest.raises(BadDimensions):
+    with pytest.raises(InvalidArgument):
         moment_matrices(1, 480)
 
 
@@ -76,7 +75,7 @@ def test_moment_matrices_refuse_a_tiny_size_on_every_call():
     """The cache keeps results, not exceptions: 1x480 raises after 640x480 is cached."""
     moment_matrices(640, 480)
     for _ in range(3):
-        with pytest.raises(BadDimensions):
+        with pytest.raises(InvalidArgument):
             moment_matrices(1, 480)
 
 
@@ -347,7 +346,7 @@ def test_distortion_of_w_ignores_scales_at_which_n_or_g_squared_leaves_the_float
 
 
 def test_pixel_sum_distortion_rejects_tiny_image_and_row_through_center():
-    with pytest.raises(BadDimensions):
+    with pytest.raises(InvalidArgument):
         pixel_sum_distortion([0.0, 0.0, 1.0], 1, 480)
     with pytest.raises(DegenerateCenter):
         pixel_sum_distortion(W_THROUGH_CENTER, 640, 480)
